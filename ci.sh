@@ -202,6 +202,17 @@ grep -q "worker 0: deque=" "$CKPT_DIR/online-info.txt"
 cargo run -q --release -p tango-cli -- online specs/lapd.est --resume "$CKPT_DIR/online.ckpt" \
     --workers 2 > "$CKPT_DIR/online-resumed.txt"
 [ "$(verdict_and_counters "$CKPT_DIR/online-w1.txt")" = "$(verdict_and_counters "$CKPT_DIR/online-resumed.txt")" ]
+# One engine at every worker count: the one-worker run (worker 0 alone,
+# on the calling thread) streams a well-formed event log and prints the
+# same verdict/counter line as four workers on a valid TP0 trace.
+cargo run -q --release -p tango-cli -- online specs/tp0.est "$CKPT_DIR/trace.txt" \
+    --workers 1 --trace-out "$CKPT_DIR/online-w1.jsonl" > "$CKPT_DIR/tp0-online-w1.txt"
+cargo run -q --release -p bench --bin json_check -- --jsonl "$CKPT_DIR/online-w1.jsonl"
+grep -q '"ev":"verdict"' "$CKPT_DIR/online-w1.jsonl"
+cargo run -q --release -p tango-cli -- online specs/tp0.est "$CKPT_DIR/trace.txt" \
+    --workers 4 > "$CKPT_DIR/tp0-online-w4.txt"
+grep -q "verdict: valid" "$CKPT_DIR/tp0-online-w1.txt"
+[ "$(verdict_and_counters "$CKPT_DIR/tp0-online-w1.txt")" = "$(verdict_and_counters "$CKPT_DIR/tp0-online-w4.txt")" ]
 
 echo "== exec A/B differential smoke =="
 # Compiled VM vs. tree-walking interpreter must agree everywhere; the
@@ -258,10 +269,11 @@ mv BENCH_tps.json.orig BENCH_tps.json
 cargo run -q --release -p bench --bin tps_by_spec_size -- --check BENCH_tps.json
 
 echo "== snapshot_bench smoke (quick mode) =="
-# A/B the COW and deep-clone snapshot paths on reduced workloads; the
-# binary itself asserts both modes produce identical verdicts and
-# TE/GE/RE/SA counters, then overwrites BENCH_snapshots.json. Keep the
-# committed full-size record; validate the quick one, then restore.
+# A/B the snapshot store's pressure-free and budgeted (interning) save
+# paths on reduced workloads; the binary itself asserts both produce
+# identical verdicts and TE/GE/RE/SA counters, then overwrites
+# BENCH_snapshots.json. Keep the committed full-size record; validate
+# the quick one, then restore.
 cp BENCH_snapshots.json BENCH_snapshots.json.orig
 cargo run -q --release -p bench --bin snapshot_bench -- --quick
 cargo run -q --release -p bench --bin snapshot_bench -- --check BENCH_snapshots.json

@@ -1,13 +1,16 @@
-//! Copy-on-write Save/Restore vs. the eager deep-clone baseline.
+//! Copy-on-write Save/Restore through the snapshot store's two save paths.
 //!
 //! The paper's §3.2 names *Save* and *Restore* as the dominant cost of
-//! trace analysis. This benchmark runs the same TP0 and LAPD workloads
-//! under `cow_snapshots = true` (chunked COW heap + snapshot interning)
-//! and `cow_snapshots = false` (the original eager deep clone on every
-//! save and restore), checks that the verdicts and the TE/GE/RE/SA
-//! counters are identical in both modes, and records the throughput
-//! (nodes/sec), peak resident snapshot bytes and per-operation
-//! save/restore latencies in `BENCH_snapshots.json` at the repo root.
+//! trace analysis. Every saved state is a chunked COW snapshot held by
+//! the snapshot store, which saves along one of two paths: `free` (no
+//! memory budget: no content hash, no interning, no LRU) and `keyed`
+//! (under a budget — here one too large to ever stop or spill — every
+//! save is content-hashed and identical snapshots are interned). This
+//! benchmark runs the same TP0 and LAPD workloads down both paths,
+//! checks that the verdicts and the TE/GE/RE/SA counters are identical,
+//! and records the throughput (nodes/sec), peak resident snapshot bytes,
+//! intern hits and per-operation COW save/restore latencies in
+//! `BENCH_snapshots.json` at the repo root.
 //!
 //! ```sh
 //! cargo run -p bench --bin snapshot_bench --release            # full record
@@ -24,7 +27,7 @@ use tango::{AnalysisOptions, OrderOptions, Trace, TraceAnalyzer};
 
 const OUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_snapshots.json");
 
-/// One analysis run under one snapshot mode.
+/// One analysis run down one store path.
 struct ModeResult {
     cpu_seconds: f64,
     nodes_per_sec: f64,
@@ -44,11 +47,11 @@ fn run_mode(
     analyzer: &TraceAnalyzer,
     trace: &Trace,
     order: OrderOptions,
-    cow: bool,
+    keyed: bool,
     max_transitions: u64,
 ) -> ModeResult {
     let mut options = AnalysisOptions::with_order(order);
-    options.cow_snapshots = cow;
+    options.limits.max_state_bytes = keyed.then_some(usize::MAX);
     options.limits.max_transitions = max_transitions;
     let r = analyzer.analyze(trace, &options).expect("analysis runs");
     ModeResult {
@@ -89,11 +92,9 @@ struct Workload {
     order: OrderOptions,
     trace: Trace,
     /// Transition cap for this row. Rows that hit it measure a *fixed
-    /// amount of search work* (identical TE in both modes), rows that
+    /// amount of search work* (identical TE down both paths), rows that
     /// finish under it measure the complete analysis.
     cap: u64,
-    /// Counts toward the ≥2× TP0 acceptance gate.
-    gate: bool,
 }
 
 fn workloads(quick: bool) -> Vec<Workload> {
@@ -110,9 +111,8 @@ fn workloads(quick: bool) -> Vec<Workload> {
     //   same event-count range as LAPD at DI=100): the send buffer holds
     //   up to `up` live cells, so state snapshots dominate. These explode
     //   exponentially, so the rows are transition-capped — a fixed 5M-TE
-    //   slice of the same search in both modes. This is the gate regime:
-    //   the paper-length workload where Save/Restore is the §3.2
-    //   dominant cost.
+    //   slice of the same search down both paths: the paper-length
+    //   workload where Save/Restore is the §3.2 dominant cost.
     let tp0_sizes: &[(usize, usize, u64)] = if quick {
         &[(2, 2, 2_000_000)]
     } else {
@@ -133,7 +133,6 @@ fn workloads(quick: bool) -> Vec<Workload> {
             order: OrderOptions::none(),
             trace: bad,
             cap,
-            gate: up >= 100,
         });
     }
     // LAPD: valid traces at the paper's Figure 3 DI sizes (linear search,
@@ -146,15 +145,15 @@ fn workloads(quick: bool) -> Vec<Workload> {
             order: OrderOptions::full(),
             trace: lapd::valid_trace(di, di, di as u64),
             cap: 50_000_000,
-            gate: false,
         });
     }
     w
 }
 
-/// Micro-benchmark the Save and Restore primitives on a TP0 machine state
-/// whose heap holds `cells` live cells, in microseconds per operation.
-fn micro(cells: usize, iters: u32) -> [f64; 4] {
+/// Micro-benchmark the COW Save and Restore primitives on a TP0 machine
+/// state whose heap holds `cells` live cells, in microseconds per
+/// operation.
+fn micro(cells: usize, iters: u32) -> [f64; 2] {
     let machine = Machine::from_source(tp0::SOURCE).expect("TP0 compiles");
     let mut st = machine.initial_state().expect("initial state");
     for i in 0..cells {
@@ -172,21 +171,14 @@ fn micro(cells: usize, iters: u32) -> [f64; 4] {
     };
     // Save: what DFS pays per pushed frame. Restore: re-materializing the
     // live state from a saved frame on backtrack.
-    let cow_save = per_op(&mut || {
+    let save = per_op(&mut || {
         black_box(st.snapshot());
     });
-    let deep_save = per_op(&mut || {
-        black_box(st.deep_snapshot());
-    });
     let saved = st.snapshot();
-    let cow_restore = per_op(&mut || {
+    let restore = per_op(&mut || {
         black_box(saved.snapshot());
     });
-    let saved_deep = st.deep_snapshot();
-    let deep_restore = per_op(&mut || {
-        black_box(saved_deep.deep_snapshot());
-    });
-    [cow_save, cow_restore, deep_save, deep_restore]
+    [save, restore]
 }
 
 fn main() {
@@ -217,10 +209,9 @@ fn main() {
     let lapd_analyzer = lapd::analyzer();
 
     let mut rows = Vec::new();
-    let mut gate_speedups: Vec<(String, f64)> = Vec::new();
     println!(
         "{:>22} {:>6} {:>12} {:>12} {:>8} {:>12} {:>10}",
-        "workload", "mode", "CPUT(s)", "nodes/s", "SA", "peak bytes", "interned"
+        "workload", "path", "CPUT(s)", "nodes/s", "SA", "peak bytes", "interned"
     );
     for w in workloads(quick) {
         let analyzer = if w.protocol == "tp0" {
@@ -228,83 +219,65 @@ fn main() {
         } else {
             &lapd_analyzer
         };
-        let cow = run_mode(analyzer, &w.trace, w.order, true, w.cap);
-        let deep = run_mode(analyzer, &w.trace, w.order, false, w.cap);
-        for (label, m) in [("cow", &cow), ("deep", &deep)] {
+        let free = run_mode(analyzer, &w.trace, w.order, false, w.cap);
+        let keyed = run_mode(analyzer, &w.trace, w.order, true, w.cap);
+        for (label, m) in [("free", &free), ("keyed", &keyed)] {
             println!(
                 "{:>22} {:>6} {:>12.3} {:>12.0} {:>8} {:>12} {:>10}",
                 w.name, label, m.cpu_seconds, m.nodes_per_sec, m.sa, m.peak_snapshot_bytes,
                 m.intern_hits
             );
         }
-        let same = cow.verdict == deep.verdict
-            && (cow.te, cow.ge, cow.re, cow.sa) == (deep.te, deep.ge, deep.re, deep.sa);
+        let same = free.verdict == keyed.verdict
+            && (free.te, free.ge, free.re, free.sa) == (keyed.te, keyed.ge, keyed.re, keyed.sa);
         assert!(
             same,
-            "{}: COW and deep-clone modes disagree (verdict {} vs {}, \
+            "{}: the free and keyed store paths disagree (verdict {} vs {}, \
              TE/GE/RE/SA {}/{}/{}/{} vs {}/{}/{}/{})",
-            w.name, cow.verdict, deep.verdict, cow.te, cow.ge, cow.re, cow.sa, deep.te, deep.ge,
-            deep.re, deep.sa
+            w.name, free.verdict, keyed.verdict, free.te, free.ge, free.re, free.sa, keyed.te,
+            keyed.ge, keyed.re, keyed.sa
         );
-        let speedup = if deep.nodes_per_sec > 0.0 && cow.nodes_per_sec > 0.0 {
-            cow.nodes_per_sec / deep.nodes_per_sec
+        let ratio = if keyed.nodes_per_sec > 0.0 && free.nodes_per_sec > 0.0 {
+            free.nodes_per_sec / keyed.nodes_per_sec
         } else {
             0.0
         };
-        if w.gate && !quick {
-            gate_speedups.push((w.name.clone(), speedup));
-        }
         rows.push(format!(
             "    {{\"name\": \"{}\", \"protocol\": \"{}\", \"order\": \"{}\", \
-             \"trace_len\": {}, \"max_transitions\": {},\n     \"cow\": {},\n     \
-             \"deep\": {},\n     \"speedup_nodes_per_sec\": {}, \"counters_match\": true}}",
+             \"trace_len\": {}, \"max_transitions\": {},\n     \"free\": {},\n     \
+             \"keyed\": {},\n     \"free_over_keyed_nodes_per_sec\": {}, \"counters_match\": true}}",
             w.name,
             w.protocol,
             w.order.label(),
             w.trace.len(),
             w.cap,
-            mode_json(&cow),
-            mode_json(&deep),
-            json::number(speedup)
+            mode_json(&free),
+            mode_json(&keyed),
+            json::number(ratio)
         ));
     }
 
     let micro_cells = if quick { 64 } else { 512 };
     let micro_iters = if quick { 2_000 } else { 20_000 };
-    let [cow_save, cow_restore, deep_save, deep_restore] = micro(micro_cells, micro_iters);
+    let [save, restore] = micro(micro_cells, micro_iters);
     println!(
-        "\nmicro ({} heap cells): save cow {:.2}us deep {:.2}us, \
-         restore cow {:.2}us deep {:.2}us",
-        micro_cells, cow_save, deep_save, cow_restore, deep_restore
+        "\nmicro ({} heap cells): COW save {:.2}us, restore {:.2}us",
+        micro_cells, save, restore
     );
 
     let doc = format!(
         "{{\n  \"benchmark\": \"snapshot_bench\",\n  \"quick\": {},\n  \
          \"chunk_cells\": {},\n  \"workloads\": [\n{}\n  ],\n  \
-         \"micro\": {{\"heap_cells\": {}, \"iters\": {}, \"save_us\": {{\"cow\": {}, \"deep\": {}}}, \
-         \"restore_us\": {{\"cow\": {}, \"deep\": {}}}}}\n}}\n",
+         \"micro\": {{\"heap_cells\": {}, \"iters\": {}, \"save_us\": {}, \"restore_us\": {}}}\n}}\n",
         quick,
         estelle_runtime::CHUNK_CELLS,
         rows.join(",\n"),
         micro_cells,
         micro_iters,
-        json::number(cow_save),
-        json::number(deep_save),
-        json::number(cow_restore),
-        json::number(deep_restore)
+        json::number(save),
+        json::number(restore)
     );
     json::validate(&doc).expect("emitted record is well-formed JSON");
     std::fs::write(OUT_PATH, &doc).expect("write BENCH_snapshots.json");
     println!("\nwrote {}", OUT_PATH);
-
-    for (name, speedup) in &gate_speedups {
-        println!("{}: COW {:.2}x deep-clone throughput", name, speedup);
-    }
-    if !quick {
-        assert!(
-            gate_speedups.iter().any(|(_, s)| *s >= 2.0),
-            "acceptance gate: expected >=2x COW speedup on a TP0 workload, got {:?}",
-            gate_speedups
-        );
-    }
 }

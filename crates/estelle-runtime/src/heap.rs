@@ -13,8 +13,7 @@
 //! chunk that is still shared with some snapshot. A search that saves a
 //! state and then touches three cells pays for one chunk, not for the
 //! whole heap. [`Heap::unshare`] forces every chunk private again, which
-//! is exactly the old eager deep-clone behaviour — the trace analyzer's
-//! `--cow=off` A/B path.
+//! is exactly the eager deep-clone behaviour the COW tests compare with.
 //!
 //! References carry a generation counter so a dangling pointer (use after
 //! `dispose`) is detected deterministically instead of reading stale data.
@@ -191,8 +190,8 @@ impl Heap {
     }
 
     /// Force every chunk private, eagerly deep-copying any that are still
-    /// shared with a snapshot. `clone()` + `unshare()` is the old eager
-    /// deep-clone *Save* — kept as the `--cow=off` measurement baseline.
+    /// shared with a snapshot. `clone()` + `unshare()` is the eager
+    /// deep-clone *Save*, the reference the COW tests compare against.
     /// Content is unchanged, so the cached chunk digests stay valid.
     pub fn unshare(&mut self) {
         for c in &mut self.chunks {

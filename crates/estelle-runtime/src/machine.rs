@@ -64,9 +64,9 @@ impl MachineState {
         self.clone()
     }
 
-    /// The pre-COW *Save*: a snapshot whose dynamic memory is eagerly
-    /// deep-copied, sharing nothing. Kept as the `--cow=off` baseline the
-    /// benchmark record A/Bs against.
+    /// A snapshot whose dynamic memory is eagerly deep-copied, sharing
+    /// nothing — the reference the copy-on-write tests compare
+    /// [`MachineState::snapshot`] against.
     pub fn deep_snapshot(&self) -> MachineState {
         let mut s = self.clone();
         s.heap.unshare();

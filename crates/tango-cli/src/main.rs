@@ -115,7 +115,7 @@ fn usage() -> String {
      <spec.est|checkpoint.bin|file.tangodump|host:port/path> \
      [trace.txt|script.txt] [--order nr|io|ip|full] [--disable-ip NAME] \
      [--unobserved-ip NAME] [--initial-state-search] [--state-hashing] \
-     [--cow=on|off] [--exec=auto|compiled|interp] [--workers N] \
+     [--exec=auto|compiled|interp] [--workers N] \
      [--max-seconds F] [--max-mem N[k|m|g][b]] \
      [--spill=on|off|auto] [--spill-dir PATH] \
      [--max-transitions N] [--checkpoint-file PATH] [--checkpoint-every N] \
@@ -152,16 +152,6 @@ fn parse_bytes(s: &str) -> Result<usize, String> {
     };
     let n: usize = digits.parse().map_err(|_| bad())?;
     n.checked_mul(1usize << shift).ok_or_else(bad)
-}
-
-/// Parse the `--cow` mode: `on` (copy-on-write Save/Restore, the default)
-/// or `off` (the original eager deep-clone path, kept for A/B timing).
-fn parse_cow(v: &str) -> Result<bool, String> {
-    match v.to_ascii_lowercase().as_str() {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        other => Err(format!("bad --cow mode `{}` (expected on|off)", other)),
-    }
 }
 
 fn read(path: &str) -> Result<String, String> {
@@ -576,13 +566,6 @@ fn parse_options(
             }
             "--initial-state-search" => options.initial_state_search = true,
             "--state-hashing" => options.state_hashing = true,
-            "--cow" => {
-                let v = it.next().ok_or("--cow needs on|off")?;
-                options.cow_snapshots = parse_cow(v)?;
-            }
-            flag if flag.starts_with("--cow=") => {
-                options.cow_snapshots = parse_cow(&flag["--cow=".len()..])?;
-            }
             "--exec" => {
                 let v = it.next().ok_or("--exec needs auto|compiled|interp")?;
                 options.exec_mode = v.parse()?;
@@ -1119,18 +1102,6 @@ mod tests {
         for bad in ["", "b", "kb", "12q", "k12", "-5k", "1.5m", "64 m"] {
             assert!(parse_bytes(bad).is_err(), "`{}` must not parse", bad);
         }
-    }
-
-    #[test]
-    fn cow_flag_both_spellings() {
-        let (opts, _, _, _, _, _) =
-            parse_options(&["--cow=off".to_string(), "x".to_string()]).unwrap();
-        assert!(!opts.cow_snapshots);
-        let (opts, _, _, _, _, _) =
-            parse_options(&["--cow".to_string(), "on".to_string()]).unwrap();
-        assert!(opts.cow_snapshots);
-        assert!(parse_options(&["--cow=sideways".to_string()]).is_err());
-        assert!(parse_options(&["--cow".to_string()]).is_err());
     }
 
     #[test]

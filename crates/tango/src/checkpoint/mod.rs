@@ -216,13 +216,8 @@ impl Checkpoint {
                 check_cursors(&dfs.cursors, "checkpoint")?;
                 for (i, f) in dfs.stack.iter().enumerate() {
                     check_cursors(&f.cursors, "frame")?;
-                    // Decoded frames are always resident (spill residency
-                    // is a live-search concern; checkpoints carry the
-                    // bytes inline).
-                    if let Some(state) = f.state.resident_state() {
-                        if state.control.0 >= state_count {
-                            return Err(format!("frame {} control state out of range", i));
-                        }
+                    if f.state.control.0 >= state_count {
+                        return Err(format!("frame {} control state out of range", i));
                     }
                     for fireable in &f.fireable {
                         if fireable.trans >= transition_count {

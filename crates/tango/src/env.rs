@@ -69,6 +69,7 @@ pub enum RejectReason {
 }
 
 /// The trace-backed environment driving one search.
+#[derive(Clone)]
 pub struct TraceEnv {
     pub trace: ResolvedTrace,
     pub cursors: Cursors,

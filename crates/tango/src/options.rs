@@ -141,13 +141,6 @@ pub struct AnalysisOptions {
     /// search tree on hold"). Disable for the paper's basic MDFS, which
     /// only reconsiders PG-nodes after the rest of the tree is exhausted.
     pub mdfs_reorder: bool,
-    /// Copy-on-write *Save*/*Restore* (on by default): saved search nodes
-    /// share heap chunks with the live state and identical snapshots are
-    /// interned, so a save costs O(touched chunks) instead of O(state) —
-    /// the §3.2 dominant cost. `false` forces the original eager
-    /// deep-clone path (CLI `--cow=off`), kept for A/B measurement; the
-    /// verdict and the TE/GE/RE/SA counters are identical either way.
-    pub cow_snapshots: bool,
     /// Which executor runs *Generate*/*Update* (CLI `--exec`): `auto`
     /// (default) picks per spec from the compile-time cost model — the
     /// bytecode VM with its by-control-state dispatch index for large
@@ -171,9 +164,9 @@ pub struct AnalysisOptions {
     /// mount one endpoint per analysis.
     pub listen: Option<String>,
     /// On-line MDFS search workers (CLI `--workers N`). `1` (the
-    /// default) runs the single-threaded search unchanged; `0` means
-    /// "one per available core"; `N > 1` runs N true workers over
-    /// per-worker work-stealing deques and the sharded snapshot store.
+    /// default) searches on the calling thread alone; `0` means "one per
+    /// available core"; `N > 1` adds N − 1 threads, all pulling from
+    /// per-worker work-stealing deques over the sharded snapshot store.
     /// Verdicts and the TE/GE/RE/SA counters are identical at every
     /// worker count (see DESIGN §6.13 for the determinism argument);
     /// only wall time differs. Static DFS ignores this knob.
@@ -191,7 +184,6 @@ impl Default for AnalysisOptions {
             policy: UndefinedPolicy::Error,
             state_hashing: false,
             mdfs_reorder: true,
-            cow_snapshots: true,
             exec_mode: ExecMode::Auto,
             spill: SpillOptions::default(),
             listen: None,
@@ -261,7 +253,6 @@ mod tests {
         assert_eq!(o.policy, UndefinedPolicy::Error);
         assert!(!o.initial_state_search);
         assert!(!o.state_hashing);
-        assert!(o.cow_snapshots, "COW Save/Restore is the default path");
         assert_eq!(
             o.exec_mode,
             ExecMode::Auto,

@@ -13,12 +13,12 @@
 //!   re-exploration of identical (machine state, cursor) pairs — the
 //!   approach §4.2 suggests as future work for taming the exponential
 //!   analysis of invalid TP0 traces;
-//! * copy-on-write *Save*/*Restore* through the [`super::snapshot`]
-//!   store: saved states share heap chunks with the live state and
-//!   identical snapshots are interned (resident and charged once), so a
-//!   save costs O(touched chunks) instead of O(state) — §3.2's dominant
-//!   cost. `AnalysisOptions::cow_snapshots = false` forces the old eager
-//!   deep-clone path for A/B measurement (`BENCH_snapshots.json`);
+//! * copy-on-write *Save*/*Restore* through the one-shard
+//!   [`super::store::ShardedStore`] the MDFS uses too: saved states share
+//!   heap chunks with the live state, so a save costs O(touched chunks)
+//!   instead of O(state) — §3.2's dominant cost — and a frame's last
+//!   child takes its state back without any copy. Under `--max-mem` the
+//!   store interns identical snapshots and spills cold ones to disk;
 //! * resource governance: a wall-clock deadline and a snapshot-memory
 //!   budget, checked cooperatively *before* each step mutates anything, so
 //!   that stopping on any limit freezes an exactly resumable
@@ -32,12 +32,13 @@ use crate::options::AnalysisOptions;
 use crate::stats::SearchStats;
 use crate::telemetry::{PruneKind, Telemetry};
 use crate::verdict::{InconclusiveReason, Verdict};
-use estelle_runtime::{FireOutcome, Fireable, Machine, MachineState, RuntimeError};
+use estelle_runtime::{FireOutcome, Fireable, FxHasher, Machine, MachineState, RuntimeError};
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
-use super::snapshot::{FxBuildHasher, FxHasher, SavedState, SnapshotStore};
+use super::spill::SpillError;
+use super::store::{stamp_store, CarryBase, FxBuildHasher, ShardedStore, StoreHandle};
 use super::{guard, is_fatal, record_error};
 
 /// Result of the raw search (before initial-state-search wrapping).
@@ -58,11 +59,12 @@ pub struct DfsOutcome {
     pub spill_faults: Vec<String>,
 }
 
+/// One backtracking frame. `S` is where its saved state lives: a store
+/// handle while the search runs, the state itself inside a checkpoint
+/// (frames carry their snapshots inline, like MDFS nodes).
 #[derive(Clone, Debug)]
-pub(crate) struct Frame {
-    /// The saved state, held through the interning snapshot store: an
-    /// identical state saved twice is resident (and charged) once.
-    pub(crate) state: SavedState,
+pub(crate) struct Frame<S = StoreHandle> {
+    pub(crate) state: S,
     pub(crate) cursors: crate::env::Cursors,
     pub(crate) fireable: Vec<Fireable>,
     pub(crate) next: usize,
@@ -79,7 +81,7 @@ pub struct DfsCheckpoint {
     pub(crate) state: MachineState,
     pub(crate) cursors: crate::env::Cursors,
     pub(crate) path: Vec<String>,
-    pub(crate) stack: Vec<Frame>,
+    pub(crate) stack: Vec<Frame<MachineState>>,
     pub(crate) visited: HashSet<u64, FxBuildHasher>,
     pub(crate) spec_errors: Vec<RuntimeError>,
     pub(crate) best: (usize, Vec<String>),
@@ -187,29 +189,19 @@ fn search(
     // `false`: the last expansion failed and we must backtrack.
     let mut at_node: bool;
 
-    // The snapshot pool: owns every saved state on the stack and the
-    // deduplicated byte accounting the memory budget governs.
-    let mut store: SnapshotStore;
-    // Spill-tier faults accumulated over the run (reopen warnings, and
-    // the terminal error when the run degrades to `SpillFailure`).
-    let mut spill_faults: Vec<String> = Vec::new();
     // Set when the search broke mid-step on a spill read failure: the
     // loop variables are no longer a coherent stop point, so no
     // checkpoint is offered.
     let mut spill_broke_midstep = false;
 
-    let budget = options.limits.max_state_bytes;
     // A resumed search gets a fresh wall-clock allowance. Computed before
-    // the tier opens so spill retry sleeps are clamped to the same
-    // deadline the search loop enforces.
+    // the store opens its tier so spill retry sleeps are clamped to the
+    // same deadline the search loop enforces.
     let deadline = options.limits.max_wall_time.map(|d| Instant::now() + d);
-    let tier = match options.spill.build_tier(budget) {
-        Ok(t) => t.map(|mut t| {
-            if let Some(d) = deadline {
-                t.set_deadline(d);
-            }
-            t
-        }),
+    // The snapshot store owns every saved frame state and the byte
+    // accounting the memory budget governs.
+    let store = match ShardedStore::build(options, deadline, 1) {
+        Ok(s) => s,
         Err(e) => {
             // The spill directory itself is unusable. Degrade before
             // touching anything; a resume keeps its checkpoint.
@@ -228,6 +220,13 @@ fn search(
             });
         }
     };
+    // Spill-tier faults accumulated over the run (reopen warnings, and
+    // the terminal error when the run degrades to `SpillFailure`).
+    let mut spill_faults = store.take_warnings();
+    // Spill and intern counters continue across stop/resume rounds: the
+    // store counts from zero each open, so the stats add onto what the
+    // round inherited.
+    let carry = CarryBase::of(stats);
 
     match init {
         Init::Fresh(s) => {
@@ -241,19 +240,26 @@ fn search(
             best_pending_len = None;
             barren = 0;
             at_node = true;
-            store = match tier {
-                Some(t) => SnapshotStore::new(options.cow_snapshots)
-                    .with_spill(budget.unwrap_or(usize::MAX), t),
-                None => SnapshotStore::new(options.cow_snapshots),
-            };
-            stats.snapshot_bytes = 0;
         }
         Init::Resume(cp) => {
             let cp = *cp;
             env.restore(&cp.cursors);
             state = cp.state;
             path = cp.path;
-            stack = cp.stack;
+            // Re-save the surviving frames into the fresh store; its
+            // byte gauge is re-derived from them, never carried over.
+            stack = cp
+                .stack
+                .into_iter()
+                .map(|f| Frame {
+                    state: store.save(f.state).0,
+                    cursors: f.cursors,
+                    fireable: f.fireable,
+                    next: f.next,
+                    path_len: f.path_len,
+                    barren: f.barren,
+                })
+                .collect();
             visited = cp.visited;
             spec_errors = cp.spec_errors;
             total_events = cp.total_events;
@@ -261,29 +267,8 @@ fn search(
             best_pending_len = cp.best_pending_len;
             barren = cp.barren;
             at_node = cp.at_node;
-            // Rebuild the pool (and the byte counter) from the surviving
-            // frames; charges are re-derived, never blindly subtracted, so
-            // the counter cannot wrap across stop/resume rounds.
-            store = SnapshotStore::rebuild(
-                options.cow_snapshots,
-                stack.iter().map(|f| &f.state),
-                budget,
-                tier,
-            );
-            stats.snapshot_bytes = store.resident_bytes();
         }
     }
-    spill_faults.extend(store.take_spill_warnings());
-    stats.peak_snapshot_bytes = stats.peak_snapshot_bytes.max(stats.snapshot_bytes);
-    // Spill counters continue across stop/resume rounds: the tier counts
-    // from zero each open, so the stats add onto what the round inherited.
-    let spill_base = (
-        stats.spill_writes,
-        stats.spill_reads,
-        stats.spill_retries,
-        stats.spill_evictions,
-        stats.spill_giveups,
-    );
 
     // Per-search *Generate* scratch, refilled in place by `generate_into`:
     // single-child expansions (the overwhelmingly common case on valid
@@ -293,13 +278,13 @@ fn search(
     let mut gen = estelle_runtime::Generated::default();
 
     let reason = loop {
-        sync_spill_stats(stats, &store, spill_base);
+        stamp_store(stats, &carry, &store);
         tel.tick(stats, options.limits.max_transitions);
         // Governance, checked before the next step mutates anything: a
         // `break` here freezes the loop variables into an exactly
         // resumable checkpoint.
-        if let Some(e) = store.take_spill_fault() {
-            spill_faults.push(e.to_string());
+        if store.is_poisoned() {
+            spill_faults.extend(store.take_fault().map(|e| e.to_string()));
             break InconclusiveReason::SpillFailure;
         }
         if stats.transitions_executed > options.limits.max_transitions {
@@ -308,8 +293,8 @@ fn search(
         if deadline.is_some_and(|d| Instant::now() >= d) {
             break InconclusiveReason::TimeLimit;
         }
-        // With a spill tier attached the budget is a tiering policy, not
-        // a stop condition: eviction holds residency at the budget.
+        // With a spill tier the budget is a tiering policy, not a stop
+        // condition: the store's eviction holds residency at the budget.
         if !store.spill_enabled()
             && options
                 .limits
@@ -331,7 +316,6 @@ fn search(
                 }
             }
             if env.all_done() {
-                sync_spill_stats(stats, &store, spill_base);
                 return Ok(DfsOutcome {
                     verdict: Verdict::Valid,
                     witness: Some(path),
@@ -384,28 +368,14 @@ fn search(
             let first = gen.fireable[0].clone();
             if gen.fireable.len() > 1 {
                 stats.saves += 1;
-                let cursors = env.save();
-                let meta_bytes = (cursors.input.len() + cursors.output.len())
-                    * std::mem::size_of::<usize>();
-                let resident_before = stats.snapshot_bytes;
-                let (snapshot, interned) = store.save(&state, meta_bytes);
-                if interned {
-                    stats.intern_hits += 1;
-                }
-                stats.snapshot_bytes = store.resident_bytes();
-                stats.peak_snapshot_bytes =
-                    stats.peak_snapshot_bytes.max(stats.snapshot_bytes);
+                let (handle, interned) = store.save(state.snapshot());
                 if tel.hot() {
-                    tel.on_save(
-                        path.len(),
-                        stats.snapshot_bytes.saturating_sub(resident_before),
-                        interned,
-                        stats.snapshot_bytes,
-                    );
+                    let charged = if interned { 0 } else { handle.state_bytes };
+                    tel.on_save(path.len(), charged, interned, store.resident_bytes());
                 }
                 stack.push(Frame {
-                    state: snapshot,
-                    cursors,
+                    state: handle,
+                    cursors: env.save(),
                     fireable: std::mem::take(&mut gen.fireable),
                     next: 1,
                     path_len: path.len(),
@@ -438,7 +408,6 @@ fn search(
             }
             // Backtrack to the nearest frame with untried children.
             let Some(top) = stack.last_mut() else {
-                sync_spill_stats(stats, &store, spill_base);
                 return Ok(DfsOutcome {
                     verdict: Verdict::Invalid,
                     witness: None,
@@ -451,48 +420,35 @@ fn search(
             };
             if top.next >= top.fireable.len() {
                 let frame = stack.pop().expect("stack non-empty");
-                store.release(&frame.state);
-                stats.snapshot_bytes = store.resident_bytes();
+                store.release(frame.state);
                 continue;
             }
             stats.restores += 1;
             tel.on_restore(path.len());
-            let last_child = top.next == top.fireable.len() - 1;
-            let f;
-            if last_child {
+            // The last child takes the frame's state without a copy.
+            let (f, restored) = if top.next == top.fireable.len() - 1 {
                 let frame = stack.pop().expect("stack non-empty");
-                store.release(&frame.state);
-                stats.snapshot_bytes = store.resident_bytes();
-                f = frame.fireable[frame.next].clone();
-                state = match store.take(frame.state) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        // The snapshot's disk copy is unreadable and its
-                        // RAM copy is gone: the loop variables are no
-                        // longer a coherent stop point.
-                        spill_faults.push(e.to_string());
-                        spill_broke_midstep = true;
-                        break InconclusiveReason::SpillFailure;
-                    }
-                };
                 env.restore(&frame.cursors);
                 path.truncate(frame.path_len);
                 barren = frame.barren;
+                (frame.fireable[frame.next].clone(), store.take(frame.state))
             } else {
-                f = top.fireable[top.next].clone();
                 top.next += 1;
-                state = match store.materialize(&top.state) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        spill_faults.push(e.to_string());
-                        spill_broke_midstep = true;
-                        break InconclusiveReason::SpillFailure;
-                    }
-                };
                 env.restore(&top.cursors);
                 path.truncate(top.path_len);
                 barren = top.barren;
-            }
+                (top.fireable[top.next - 1].clone(), store.materialize(top.state))
+            };
+            state = match restored {
+                Ok(s) => s,
+                Err(e) => {
+                    // The snapshot's disk copy is unreadable: the loop
+                    // variables are no longer a coherent stop point.
+                    spill_faults.push(e.to_string());
+                    spill_broke_midstep = true;
+                    break InconclusiveReason::SpillFailure;
+                }
+            };
             let before = env.outstanding();
             match try_fire(machine, &mut state, &f, env, stats, &mut spec_errors, tel, path.len())? {
                 true => {
@@ -515,29 +471,45 @@ fn search(
         }
     };
 
-    sync_spill_stats(stats, &store, spill_base);
-    // A checkpoint carries every frame's snapshot bytes inline, so
-    // spilled frames are faulted back in first. A read failure here
-    // costs the checkpoint (reported as a fault), never a panic.
+    stamp_store(stats, &carry, &store);
+    // A checkpoint carries every frame's snapshot inline, so spilled
+    // frames are faulted back in. A read failure here costs the
+    // checkpoint (reported as a fault), never a panic.
     let checkpoint = if spill_broke_midstep {
         None
-    } else if let Err(e) = store.ensure_resident_all(stack.iter().map(|fr| &fr.state)) {
-        spill_faults.push(format!("checkpoint dropped: {}", e));
-        None
     } else {
-        Some(DfsCheckpoint {
-            cursors: env.save(),
-            state,
-            path,
-            stack,
-            visited,
-            spec_errors: spec_errors.clone(),
-            best: best.clone(),
-            best_pending_len,
-            total_events,
-            barren,
-            at_node,
-        })
+        let frozen: Result<Vec<Frame<MachineState>>, SpillError> = stack
+            .into_iter()
+            .map(|f| {
+                Ok(Frame {
+                    state: store.materialize(f.state)?,
+                    cursors: f.cursors,
+                    fireable: f.fireable,
+                    next: f.next,
+                    path_len: f.path_len,
+                    barren: f.barren,
+                })
+            })
+            .collect();
+        match frozen {
+            Ok(stack) => Some(DfsCheckpoint {
+                cursors: env.save(),
+                state,
+                path,
+                stack,
+                visited,
+                spec_errors: spec_errors.clone(),
+                best: best.clone(),
+                best_pending_len,
+                total_events,
+                barren,
+                at_node,
+            }),
+            Err(e) => {
+                spill_faults.push(format!("checkpoint dropped: {}", e));
+                None
+            }
+        }
     };
     Ok(DfsOutcome {
         verdict: Verdict::Inconclusive(reason),
@@ -548,30 +520,6 @@ fn search(
         checkpoint,
         spill_faults,
     })
-}
-
-/// Mirror the spill tier's counters and gauges into the run's stats.
-/// `base` holds the totals inherited from earlier stop/resume rounds —
-/// the tier itself counts from zero each open. No-op without a tier, so
-/// spill-off runs keep their exact pre-spill accounting.
-fn sync_spill_stats(
-    stats: &mut SearchStats,
-    store: &SnapshotStore,
-    base: (u64, u64, u64, u64, u64),
-) {
-    if !store.spill_enabled() {
-        return;
-    }
-    let c = store.spill_counters();
-    stats.spill_writes = base.0 + c.writes;
-    stats.spill_reads = base.1 + c.reads;
-    stats.spill_retries = base.2 + c.retries;
-    stats.spill_evictions = base.3 + c.evictions;
-    stats.spill_giveups = base.4 + c.giveups;
-    stats.snapshot_bytes = store.resident_bytes();
-    stats.peak_snapshot_bytes = stats.peak_snapshot_bytes.max(stats.snapshot_bytes);
-    stats.spilled_bytes = store.spilled_bytes();
-    stats.peak_spilled_bytes = stats.peak_spilled_bytes.max(stats.spilled_bytes);
 }
 
 /// Fire one candidate; `Ok(true)` when the transition completed and all of
@@ -620,7 +568,7 @@ fn try_fire(
 }
 
 /// Hash of (machine state, trace cursors) for the visited-set extension.
-/// Uses the same fast content hasher as the snapshot-interning cache.
+/// Uses the same fast content hasher as the snapshot store's keys.
 pub fn fingerprint(state: &MachineState, cursors: &crate::env::Cursors) -> u64 {
     let mut h = FxHasher::default();
     state.control.hash(&mut h);

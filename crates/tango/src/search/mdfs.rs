@@ -24,31 +24,33 @@
 //!   does not count as explored, so the branch is retried later — the
 //!   output-side dual of an incomplete transition list.
 //!
-//! # Multi-core search (DESIGN §6.13)
+//! # One engine, N workers (DESIGN §6.13)
 //!
-//! With `workers = 1` (the default) the search runs the classic
-//! single-consumer loop below, byte-for-byte identical in telemetry to
-//! earlier releases. With `workers = N ≥ 2` the search runs in
-//! **burst-barrier** mode: only the coordinator polls the source; each
-//! DFS burst (the work between two polls) fans the work stack out over N
-//! scoped threads pulling from per-worker work-stealing deques (owner
-//! pops LIFO, thieves steal FIFO from the top, round-robin scan, short
-//! parks when every deque is empty). Node snapshots live in the sharded
-//! [`ShardedStore`] so eviction/interning stay lock-light.
+//! The search runs in **bursts**: only the coordinator polls the source,
+//! and each DFS burst (the work between two polls, over a frozen trace)
+//! is drained by `workers` burst workers pulling from per-worker
+//! work-stealing deques (owner pops LIFO, thieves steal FIFO from the
+//! top, round-robin scan, short parks when every deque is empty). Worker
+//! 0 runs on the coordinator thread; only workers 1..N−1 are spawned.
+//! Node snapshots live in the [`ShardedStore`]. `workers = 1` (the
+//! default) is the degenerate case: one worker, one deque, one store
+//! shard, no thread spawned — the classic single-consumer MDFS loop.
 //!
 //! Determinism: within a burst the trace is frozen, so each node's
 //! expansion is a pure function of (state, cursors, trace) and the search
 //! *tree* is schedule-independent; per-worker counter deltas merged at
-//! the barrier therefore equal the sequential totals exactly. Pre-eof
+//! the barrier therefore equal the one-worker totals exactly. Pre-eof
 //! bursts can never conclude `Valid` (an all-done node pre-eof parks as a
 //! PGAV), and parked nodes are re-ordered by their deterministic park
-//! labels, so interim verdicts match too. A post-eof burst that finds
-//! *any* witness aborts, discards its deltas, and **replays that burst
-//! sequentially** from clones of the burst's input nodes — recovering the
-//! exact witness (and counters) the single-worker search would report.
-//! Exhaustive (`Invalid`/limit) verdicts keep the parallel deltas, which
-//! are exact by the tiling argument: every popped node-step either runs
-//! to completion (counters recorded, children pushed) or the node is
+//! labels, so interim verdicts match too. A one-worker post-eof burst
+//! pops in sequential order, so its first witness is the sequential
+//! witness. An N-worker post-eof burst that finds *any* witness aborts,
+//! discards its deltas, and **re-runs that burst at one worker** from
+//! second handles on the burst's input nodes, recovering the exact
+//! witness (and counters) of the one-worker search. Exhaustive
+//! (`Invalid`/limit) verdicts keep the parallel deltas, which are exact
+//! by the tiling argument: every popped node-step either runs to
+//! completion (counters recorded, children pushed) or the node is
 //! returned to a deque untouched.
 //!
 //! Resource governance: the wall-clock deadline is checked both in the
@@ -73,32 +75,39 @@ use crate::trace::source::{Poll, TraceSource};
 use crate::trace::ResolvedTrace;
 use crate::verdict::{AnalysisReport, InconclusiveReason, Verdict};
 use estelle_frontend::sema::model::AnalyzedModule;
-use estelle_runtime::{FireOutcome, Machine, MachineState, RuntimeError, RuntimeErrorKind};
+use estelle_runtime::{FireOutcome, Machine, RuntimeError, RuntimeErrorKind};
 use std::collections::{HashSet, VecDeque};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
-use super::snapshot::state_key;
-use super::spill::{SpillCounters, SpillError, SpillTicket, SpillTier};
-use super::store::{ShardedStore, StoreHandle};
+use super::spill::SpillError;
+use super::store::{stamp_store, CarryBase, ShardedStore, StoreHandle};
 use super::{guard, is_fatal, record_error, MAX_RECORDED_ERRORS};
 
 /// How long an idle thief sleeps before re-scanning the deques.
 const IDLE_PARK: Duration = Duration::from_micros(100);
 /// Buffered worker telemetry events per flush.
 const EVENT_FLUSH: usize = 64;
+/// Pops between two flushes even when no event is buffered: worker 0
+/// uses its flushes to heartbeat and drain the other workers' batches.
+const FLUSH_EVERY_POPS: u32 = 64;
 
-/// One saved search-tree node ("thread").
-struct Node {
-    /// The node's snapshot: resident in RAM, or (under memory pressure,
-    /// with a spill tier attached) parked in a segment file with the
-    /// claim check in `ticket`.
-    state: Option<MachineState>,
-    /// Segment record holding this node's snapshot, once written.
-    /// Snapshots are immutable, so re-evicting a ticketed node is
-    /// write-free.
-    ticket: Option<SpillTicket>,
+/// One search node ("thread"); its snapshot lives in the store.
+///
+/// `key`/`step` implement the deterministic park labels of multi-worker
+/// bursts: the root nodes of a burst get `key = [i]` (their sequential
+/// pop order), every pop of a node consumes one `step`, and a child
+/// created at the parent's step `s` gets `key = parent.key ++ [s]`.
+/// Sequential pop labels are lexicographically increasing (a child's
+/// subtree is fully explored between its parent's pops `s` and `s+1`),
+/// so sorting parked nodes by their park label `key ++ [step]`
+/// reproduces the one-worker park order no matter which worker parked
+/// them. A one-worker burst parks in that order anyway and keeps no
+/// labels.
+struct PNode {
+    handle: StoreHandle,
     cursors: Cursors,
     /// Compiled-transition indices already explored from this node.
     tried: HashSet<usize>,
@@ -109,170 +118,169 @@ struct Node {
     /// Consecutive barren steps on the path to this node.
     barren: usize,
     path: Vec<String>,
-    /// Snapshot bytes proper — the part that moves between RAM and disk.
-    state_bytes: usize,
-    /// Cursor/bookkeeping bytes — always RAM-resident.
-    meta_bytes: usize,
+    key: Vec<u32>,
+    step: u32,
 }
 
-impl Node {
-    fn new(
-        state: MachineState,
-        cursors: Cursors,
-        barren: usize,
-        path: Vec<String>,
-    ) -> Self {
-        let state_bytes = state.approx_bytes();
-        let meta_bytes =
-            (cursors.input.len() + cursors.output.len()) * std::mem::size_of::<usize>();
-        Node {
-            state: Some(state),
-            ticket: None,
+impl PNode {
+    fn new(handle: StoreHandle, cursors: Cursors, barren: usize, path: Vec<String>) -> Self {
+        PNode {
+            handle,
             cursors,
             tried: HashSet::new(),
             blocked: HashSet::new(),
             barren,
             path,
-            state_bytes,
-            meta_bytes,
+            key: Vec::new(),
+            step: 0,
         }
     }
 
-    /// Rebuild a node frozen into a checkpoint (or cloned for replay).
-    fn from_parts(
-        state: MachineState,
-        cursors: Cursors,
-        tried: HashSet<usize>,
-        blocked: HashSet<usize>,
-        barren: usize,
-        path: Vec<String>,
-    ) -> Self {
-        let mut n = Node::new(state, cursors, barren, path);
-        n.tried = tried;
-        n.blocked = blocked;
+    /// A second node over the same snapshot (one more store reference).
+    fn duplicate(&self, store: &ShardedStore) -> Self {
+        store.retain(self.handle);
+        PNode {
+            handle: self.handle,
+            cursors: self.cursors.clone(),
+            tried: self.tried.clone(),
+            blocked: self.blocked.clone(),
+            barren: self.barren,
+            path: self.path.clone(),
+            key: Vec::new(),
+            step: 0,
+        }
+    }
+
+    /// Thaw a checkpointed node into the store.
+    fn thaw(store: &ShardedStore, c: MdfsNodeCkpt) -> Self {
+        let mut n = PNode::new(store.save(c.state).0, c.cursors, c.barren, c.path);
+        n.tried = c.tried.into_iter().collect();
+        n.blocked = c.blocked.into_iter().collect();
         n
     }
 
-    /// Bytes currently charged against the RAM gauge for this node.
-    fn charged(&self) -> usize {
-        self.meta_bytes + if self.state.is_some() { self.state_bytes } else { 0 }
-    }
-
-    /// Bytes the node charges once resident — what the budget check uses
-    /// for the node about to be expanded.
-    fn resident_footprint(&self) -> usize {
-        self.meta_bytes + self.state_bytes
-    }
-
-    /// The resident snapshot. The search faults a popped node in before
-    /// expanding it, so this never observes a spilled node.
-    fn resident_state(&self) -> &MachineState {
-        self.state
-            .as_ref()
-            .expect("node is faulted in before expansion")
+    /// Freeze the node into its checkpoint form, materializing (and if
+    /// need be faulting in) its snapshot.
+    fn freeze(&self, store: &ShardedStore) -> Result<MdfsNodeCkpt, SpillError> {
+        let mut tried: Vec<usize> = self.tried.iter().copied().collect();
+        tried.sort_unstable();
+        let mut blocked: Vec<usize> = self.blocked.iter().copied().collect();
+        blocked.sort_unstable();
+        Ok(MdfsNodeCkpt {
+            state: store.materialize(self.handle)?,
+            cursors: self.cursors.clone(),
+            tried,
+            blocked,
+            barren: self.barren,
+            path: self.path.clone(),
+        })
     }
 }
 
-/// Evict one node's snapshot to the spill tier. `Ok(bytes)` is what
-/// moved from the RAM gauge to the disk gauge (0 when already spilled).
-/// A write failure keeps the node resident, so the search can still
-/// finish or report from it.
-fn spill_node(tier: &mut SpillTier, node: &mut Node) -> Result<usize, SpillError> {
-    let Some(state) = node.state.take() else {
-        return Ok(0);
-    };
-    if node.ticket.is_none() {
-        match tier.write_state(state_key(&state), &state) {
-            Ok(t) => node.ticket = Some(t),
-            Err(e) => {
-                node.state = Some(state);
-                return Err(e);
-            }
+/// One buffered telemetry event from a burst worker. The `Telemetry`
+/// handle is not `Send`, so workers record plain data and the
+/// coordinator replays batches through the real handle (stamped with the
+/// worker id). No strings cross threads — names are resolved at replay
+/// time, and only when the event stream is actually on.
+enum WEvent {
+    Generate {
+        depth: usize,
+        fanout: usize,
+        incomplete: bool,
+        lat_us: Option<f64>,
+    },
+    Fire {
+        depth: usize,
+        trans: usize,
+        fired: bool,
+        nanos: u64,
+    },
+    Save {
+        depth: usize,
+        bytes: usize,
+        interned: bool,
+        resident: usize,
+    },
+    Restore {
+        depth: usize,
+    },
+    Park {
+        depth: usize,
+        pg_total: u64,
+    },
+    Prune {
+        depth: usize,
+    },
+    ErrorBranch {
+        depth: usize,
+        kind: RuntimeErrorKind,
+    },
+}
+
+/// Why a burst stopped early. First setter wins; later causes are
+/// dropped (their worker already pushed its node back, so nothing is
+/// lost either way).
+enum StopCause {
+    /// A valid leaf was found post-eof; carries its path.
+    Witness(Vec<String>),
+    /// A resource limit tripped; the surviving front is checkpointed.
+    Limit(InconclusiveReason),
+    /// A fatal runtime error (engine bug class) — propagated as `Err`.
+    Fatal(RuntimeError),
+}
+
+/// Shared state of one burst.
+struct BurstShared<'s> {
+    /// Per-worker deques: owner pushes/pops at the back (LIFO), thieves
+    /// pop at the front (FIFO — the coldest, usually largest subtree).
+    deques: Vec<Mutex<VecDeque<PNode>>>,
+    /// Nodes alive in deques or being processed. A thief that finds
+    /// every deque empty checks this: zero means the burst is done
+    /// (nodes in flight are still counted until retired or parked).
+    pending: AtomicUsize,
+    stop: Mutex<Option<StopCause>>,
+    stopped: AtomicBool,
+    /// Live TE/GE/RE/SA counters (seeded from the cumulative stats at
+    /// burst start) — the TE limit check and the progress heartbeat
+    /// read these; the authoritative merge uses per-worker deltas. TE
+    /// counts every fire; workers publish GE/RE/SA at their flushes.
+    te: AtomicU64,
+    ge: AtomicU64,
+    re: AtomicU64,
+    sa: AtomicU64,
+    /// Current parked-PG population (seeded with the prior PG-list len),
+    /// for the `max_pg_nodes` limit.
+    pg: AtomicU64,
+    depth: AtomicUsize,
+    /// Whether nodes carry park labels (more than one worker).
+    labelled: bool,
+    store: &'s ShardedStore,
+}
+
+impl BurstShared<'_> {
+    fn set_stop(&self, cause: StopCause) {
+        let mut s = self.stop.lock().expect("stop lock");
+        if s.is_none() {
+            *s = Some(cause);
         }
+        self.stopped.store(true, Ordering::Release);
     }
-    tier.counters_mut().evictions += 1;
-    Ok(node.state_bytes)
-}
 
-/// Fault a spilled node's snapshot back in (checksum-verified on read).
-/// `Ok(bytes)` is what moved from the disk gauge back to RAM.
-fn fault_in(tier: &mut SpillTier, node: &mut Node) -> Result<usize, SpillError> {
-    if node.state.is_some() {
-        return Ok(0);
-    }
-    let ticket = node.ticket.expect("a spilled node holds a ticket");
-    node.state = Some(tier.read_state(&ticket)?);
-    Ok(node.state_bytes)
-}
-
-/// Spill/intern counter values carried in from a resumed run's stats;
-/// the fresh tier/store counters are added on top so cross-resume totals
-/// stay cumulative. Zero for a fresh run.
-#[derive(Clone, Copy, Default)]
-struct CarryBase {
-    spill_writes: u64,
-    spill_reads: u64,
-    spill_retries: u64,
-    spill_evictions: u64,
-    spill_giveups: u64,
-    intern_hits: u64,
-    peak_snapshot_bytes: usize,
-    peak_spilled_bytes: usize,
-}
-
-impl CarryBase {
-    fn of(stats: &SearchStats) -> Self {
-        CarryBase {
-            spill_writes: stats.spill_writes,
-            spill_reads: stats.spill_reads,
-            spill_retries: stats.spill_retries,
-            spill_evictions: stats.spill_evictions,
-            spill_giveups: stats.spill_giveups,
-            intern_hits: stats.intern_hits,
-            peak_snapshot_bytes: stats.peak_snapshot_bytes,
-            peak_spilled_bytes: stats.peak_spilled_bytes,
-        }
+    fn push(&self, widx: usize, node: PNode) {
+        self.deques[widx].lock().expect("deque lock").push_back(node);
     }
 }
 
-/// Mirror the spill tier's counters and the disk-residency gauge into
-/// the run's stats (on top of any resumed-in base).
-fn stamp_spill(stats: &mut SearchStats, base: &CarryBase, c: SpillCounters, disk_bytes: usize) {
-    stats.spill_writes = base.spill_writes + c.writes;
-    stats.spill_reads = base.spill_reads + c.reads;
-    stats.spill_retries = base.spill_retries + c.retries;
-    stats.spill_evictions = base.spill_evictions + c.evictions;
-    stats.spill_giveups = base.spill_giveups + c.giveups;
-    stats.spilled_bytes = disk_bytes;
-    stats.peak_spilled_bytes = stats.peak_spilled_bytes.max(disk_bytes);
-}
-
-/// Mirror the sharded store's counters and gauges into the run's stats
-/// (multi-worker runs; the store is rebuilt per run, so resumed-in base
-/// values are added back).
-fn stamp_store(stats: &mut SearchStats, base: &CarryBase, store: &ShardedStore) {
-    stats.snapshot_bytes = store.resident_bytes();
-    stats.peak_snapshot_bytes = base.peak_snapshot_bytes.max(store.peak_resident_bytes());
-    stats.intern_hits = base.intern_hits + store.intern_hits();
-    let c = store.spill_counters();
-    stats.spill_writes = base.spill_writes + c.writes;
-    stats.spill_reads = base.spill_reads + c.reads;
-    stats.spill_retries = base.spill_retries + c.retries;
-    stats.spill_evictions = base.spill_evictions + c.evictions;
-    stats.spill_giveups = base.spill_giveups + c.giveups;
-    stats.spilled_bytes = store.spilled_bytes();
-    stats.peak_spilled_bytes = base.peak_spilled_bytes.max(store.peak_spilled_bytes());
-}
-
-/// Copy a node's state for expansion. With COW snapshots (the default)
-/// this is O(globals + chunk table); with `--cow=off` it eagerly
-/// deep-copies, reproducing the pre-COW §3.2.2 cost for A/B measurement.
-fn copy_state(state: &MachineState, options: &AnalysisOptions) -> MachineState {
-    if options.cow_snapshots {
-        state.snapshot()
-    } else {
-        state.deep_snapshot()
-    }
+/// What one worker brings back from a burst: its counter delta (zero
+/// gauges — those are re-stamped from the store), recorded spec errors,
+/// parked PG-nodes with their park labels, and its wall-clock split.
+#[derive(Default)]
+struct WorkerOut {
+    delta: SearchStats,
+    spec_errors: Vec<RuntimeError>,
+    parked: Vec<(Vec<u32>, PNode)>,
+    spill_faults: Vec<String>,
+    clock: Clock,
 }
 
 /// One worker's accumulated busy/idle/steal wall-clock split.
@@ -283,103 +291,50 @@ struct Clock {
     steal: Duration,
 }
 
-/// How the run spent its time, for the per-worker gauges.
-enum WorkerClocks {
-    /// Single-worker loop: elapsed minus the idle-poll sleeps.
-    Seq { slept: Duration },
-    /// One clock per worker, accumulated across bursts.
-    Par(Vec<Clock>),
+impl Clock {
+    fn add(&mut self, o: &Clock) {
+        self.busy += o.busy;
+        self.idle += o.idle;
+        self.steal += o.steal;
+    }
 }
 
-/// Terminal bookkeeping of one MDFS run: stamp the elapsed time and the
-/// source's fault diagnostics + retry counters, report the per-worker
-/// busy/idle(/steal) splits into the metrics registry (idle-poll and
-/// steal-scan time is not search time), emit the verdict event and the
-/// final heartbeat, attach the frozen checkpoint (limit stops only),
-/// then assemble the report.
-#[allow(clippy::too_many_arguments)]
-fn finish(
+/// The immutable context of one run.
+struct Cx<'a> {
+    machine: &'a Machine,
+    module: &'a AnalyzedModule,
+    options: &'a AnalysisOptions,
+    deadline: Option<Instant>,
+    store: &'a ShardedStore,
+    carry: CarryBase,
+    workers: usize,
+}
+
+/// What a run accumulates across bursts.
+struct Tally {
+    stats: SearchStats,
+    spec_errors: Vec<RuntimeError>,
+    spill_faults: Vec<String>,
+    /// One clock per worker, accumulated across bursts.
+    clocks: Vec<Clock>,
+}
+
+/// How a run ended.
+struct Outcome {
     verdict: Verdict,
     witness: Option<Vec<String>>,
-    mut stats: SearchStats,
-    spec_errors: Vec<RuntimeError>,
-    source: &dyn TraceSource,
-    t0: Instant,
-    base_wall: Duration,
-    clocks: WorkerClocks,
-    cap: u64,
-    spill_faults: Vec<String>,
+    /// The frozen front (limit stops only).
     checkpoint: Option<MdfsCheckpoint>,
-    trace: &ResolvedTrace,
-    tel: &mut Telemetry,
-) -> AnalysisReport {
-    stats.wall_time = base_wall + t0.elapsed();
-    stats.source_retries += source.fault_retries();
-    stats.source_giveups += source.fault_giveups();
-    if let Some(m) = tel.metrics_mut() {
-        match &clocks {
-            WorkerClocks::Seq { slept } => {
-                let busy = stats
-                    .wall_time
-                    .saturating_sub(base_wall)
-                    .saturating_sub(*slept);
-                m.set_gauge("mdfs.worker0.busy_seconds", busy.as_secs_f64());
-                m.set_gauge("mdfs.worker0.idle_seconds", slept.as_secs_f64());
-            }
-            WorkerClocks::Par(cs) => {
-                for (i, c) in cs.iter().enumerate() {
-                    m.set_gauge(&format!("mdfs.worker{}.busy_seconds", i), c.busy.as_secs_f64());
-                    m.set_gauge(&format!("mdfs.worker{}.idle_seconds", i), c.idle.as_secs_f64());
-                    m.set_gauge(
-                        &format!("mdfs.worker{}.steal_seconds", i),
-                        c.steal.as_secs_f64(),
-                    );
-                }
-            }
+}
+
+impl Outcome {
+    fn of(verdict: Verdict) -> Self {
+        Outcome {
+            verdict,
+            witness: None,
+            checkpoint: None,
         }
     }
-    tel.on_verdict(&verdict, &stats, cap);
-    let mut r = AnalysisReport::new(verdict, stats);
-    r.witness = witness;
-    r.spec_errors = spec_errors;
-    r.source_faults = source.diagnostics();
-    r.spill_faults = spill_faults;
-    r.checkpoint = checkpoint.map(|m| {
-        Box::new(Checkpoint {
-            body: CheckpointBody::Mdfs(m),
-            trace: trace.clone(),
-            stats: r.stats.clone(),
-        })
-    });
-    r
-}
-
-/// Freeze one sequential node into its checkpoint form.
-fn node_to_ckpt(n: Node) -> MdfsNodeCkpt {
-    let mut tried: Vec<usize> = n.tried.into_iter().collect();
-    tried.sort_unstable();
-    let mut blocked: Vec<usize> = n.blocked.into_iter().collect();
-    blocked.sort_unstable();
-    MdfsNodeCkpt {
-        state: n.state.expect("nodes are faulted in before freezing"),
-        cursors: n.cursors,
-        tried,
-        blocked,
-        barren: n.barren,
-        path: n.path,
-    }
-}
-
-/// Thaw a checkpointed node back into a sequential node.
-fn node_from_ckpt(c: MdfsNodeCkpt) -> Node {
-    Node::from_parts(
-        c.state,
-        c.cursors,
-        c.tried.into_iter().collect(),
-        c.blocked.into_iter().collect(),
-        c.barren,
-        c.path,
-    )
 }
 
 /// A resumed run's starting front, thawed from an [`MdfsCheckpoint`].
@@ -421,10 +376,7 @@ pub fn run_mdfs(
     on_status: &mut dyn FnMut(&Verdict) -> bool,
     tel: &mut Telemetry,
 ) -> Result<AnalysisReport, TangoError> {
-    match options.resolved_workers() {
-        0 | 1 => run_seq(machine, module, source, options, on_status, tel, None),
-        n => run_par(machine, module, source, options, on_status, tel, n, None),
-    }
+    run(machine, module, source, options, on_status, tel, None)
 }
 
 /// Resume a stopped on-line analysis from its frozen search front. The
@@ -456,52 +408,12 @@ pub(crate) fn resume_mdfs(
         trace,
         stats,
     };
-    let mut src = EofSource;
-    match options.resolved_workers() {
-        0 | 1 => run_seq(machine, module, &mut src, options, on_status, tel, Some(seed)),
-        n => run_par(machine, module, &mut src, options, on_status, tel, n, Some(seed)),
-    }
+    run(machine, module, &mut EofSource, options, on_status, tel, Some(seed))
 }
 
-/// Freeze the sequential search front for a limit-stop checkpoint.
-/// Spilled nodes are faulted back in first (checkpoint files are
-/// self-contained); a read failure makes the stop un-checkpointable and
-/// is recorded as a spill fault instead.
-fn freeze_seq(
-    work: &mut Vec<Node>,
-    pg_list: &mut Vec<Node>,
-    mut tier: Option<&mut SpillTier>,
-    eof: bool,
-    spill_faults: &mut Vec<String>,
-) -> Option<MdfsCheckpoint> {
-    for list in [&mut *work, &mut *pg_list] {
-        for n in list.iter_mut() {
-            if n.state.is_none() {
-                let t = tier
-                    .as_deref_mut()
-                    .expect("spilled nodes only exist with a spill tier");
-                if let Err(e) = fault_in(t, n) {
-                    spill_faults.push(format!("checkpoint save skipped: {}", e));
-                    return None;
-                }
-            }
-        }
-    }
-    Some(MdfsCheckpoint {
-        workers_at_save: 1,
-        eof,
-        workers: vec![MdfsWorkerCkpt {
-            deque: work.drain(..).map(node_to_ckpt).collect(),
-            parked: Vec::new(),
-        }],
-        pg_prior: pg_list.drain(..).map(node_to_ckpt).collect(),
-    })
-}
-
-/// The classic single-consumer MDFS loop (`workers = 1`), optionally
-/// seeded from a checkpoint.
-#[allow(clippy::too_many_arguments)]
-fn run_seq(
+/// The MDFS engine, optionally seeded from a checkpoint: set up the run,
+/// search, then assemble the report.
+fn run(
     machine: &Machine,
     module: &AnalyzedModule,
     source: &mut dyn TraceSource,
@@ -512,14 +424,13 @@ fn run_seq(
 ) -> Result<AnalysisReport, TangoError> {
     let t0 = Instant::now();
     let deadline = options.limits.max_wall_time.map(|d| t0 + d);
-    let cap = options.limits.max_transitions;
-    // Cumulative idle-poll sleep; elapsed minus this is the worker's
-    // genuine busy time.
-    let mut slept = Duration::ZERO;
+    let workers = options.resolved_workers().max(1);
     let machine = machine
         .policy_view(options.policy)
         .exec_view(options.exec_mode);
-    let (mut stats, base_wall, trace0, eof0, seed_front) = match seed {
+    tel.set_workers(workers);
+
+    let (stats, base_wall, trace0, eof0, front) = match seed {
         Some(s) => {
             let bw = s.stats.wall_time;
             (s.stats, bw, s.trace, s.eof, Some((s.work, s.pg)))
@@ -533,503 +444,181 @@ fn run_seq(
         ),
     };
     let carry = CarryBase::of(&stats);
-    let mut spec_errors: Vec<RuntimeError> = Vec::new();
-
     let mut env = TraceEnv::new(module, trace0, options, true)?;
     env.eof = eof0;
+    let mut tally = Tally {
+        stats,
+        spec_errors: Vec::new(),
+        spill_faults: Vec::new(),
+        clocks: vec![Clock::default(); workers],
+    };
 
-    // Disk spill tier: under a memory budget, park cold node snapshots
-    // in segment files instead of stopping `Inconclusive(MemoryLimit)`.
-    let mut spill_tier = match options.spill.build_tier(options.limits.max_state_bytes) {
-        Ok(t) => t.map(|mut t| {
-            // Spill retry sleeps honor the same wall-clock deadline the
-            // search loop enforces.
-            if let Some(d) = deadline {
-                t.set_deadline(d);
-            }
-            t
-        }),
+    let outcome = match ShardedStore::build(options, deadline, workers) {
+        Ok(store) => {
+            tally.spill_faults.extend(store.take_warnings());
+            let cx = Cx {
+                machine: &machine,
+                module,
+                options,
+                deadline,
+                store: &store,
+                carry,
+                workers,
+            };
+            let outcome = search(&cx, source, on_status, tel, &mut env, &mut tally, front);
+            stamp_store(&mut tally.stats, &carry, &store);
+            outcome?
+        }
+        // An unusable spill directory: degrade before searching.
         Err(e) => {
-            return Ok(finish(
-                Verdict::Inconclusive(InconclusiveReason::SpillFailure),
-                None,
-                stats,
-                spec_errors,
-                &*source,
-                t0,
-                base_wall,
-                WorkerClocks::Seq { slept },
-                cap,
-                vec![e.to_string()],
-                None,
-                &env.trace,
-                tel,
-            ));
+            tally.spill_faults.push(e.to_string());
+            Outcome::of(Verdict::Inconclusive(InconclusiveReason::SpillFailure))
         }
     };
-    let mut spill_faults: Vec<String> = spill_tier
-        .as_mut()
-        .map(SpillTier::take_warnings)
-        .unwrap_or_default();
-    // Snapshot bytes currently parked in spill segments.
-    let mut disk_bytes: usize = 0;
+    Ok(finish(outcome, tally, &*source, t0, base_wall, options, &env.trace, tel))
+}
 
-    let mut work: Vec<Node> = Vec::new();
-    let mut pg_list: Vec<Node> = Vec::new();
-
-    match seed_front {
-        None => {
-            let start = machine.initial_state()?;
-            stats.saves += 1;
-            let root = Node::new(start, env.save(), 0, Vec::new());
-            stats.snapshot_bytes = root.charged();
-            stats.peak_snapshot_bytes = stats.peak_snapshot_bytes.max(stats.snapshot_bytes);
-            if tel.hot() {
-                tel.on_save(0, root.charged(), false, stats.snapshot_bytes);
+/// Terminal bookkeeping of one MDFS run: stamp the elapsed time and the
+/// source's fault diagnostics + retry counters, report the per-worker
+/// busy/idle(/steal) splits into the metrics registry (idle-poll and
+/// steal-scan time is not search time), emit the verdict event and the
+/// final heartbeat, attach the frozen checkpoint (limit stops only),
+/// then assemble the report.
+#[allow(clippy::too_many_arguments)]
+fn finish(
+    outcome: Outcome,
+    tally: Tally,
+    source: &dyn TraceSource,
+    t0: Instant,
+    base_wall: Duration,
+    options: &AnalysisOptions,
+    trace: &ResolvedTrace,
+    tel: &mut Telemetry,
+) -> AnalysisReport {
+    let Tally {
+        mut stats,
+        spec_errors,
+        spill_faults,
+        clocks,
+    } = tally;
+    stats.wall_time = base_wall + t0.elapsed();
+    stats.source_retries += source.fault_retries();
+    stats.source_giveups += source.fault_giveups();
+    if let Some(m) = tel.metrics_mut() {
+        for (i, c) in clocks.iter().enumerate() {
+            m.set_gauge(&format!("mdfs.worker{}.busy_seconds", i), c.busy.as_secs_f64());
+            m.set_gauge(&format!("mdfs.worker{}.idle_seconds", i), c.idle.as_secs_f64());
+            if clocks.len() > 1 {
+                let steal = c.steal.as_secs_f64();
+                m.set_gauge(&format!("mdfs.worker{}.steal_seconds", i), steal);
             }
-            work.push(root);
+        }
+    }
+    tel.on_verdict(&outcome.verdict, &stats, options.limits.max_transitions);
+    let mut r = AnalysisReport::new(outcome.verdict, stats);
+    r.witness = outcome.witness;
+    r.spec_errors = spec_errors;
+    r.source_faults = source.diagnostics();
+    r.spill_faults = spill_faults;
+    r.checkpoint = outcome.checkpoint.map(|m| {
+        Box::new(Checkpoint {
+            body: CheckpointBody::Mdfs(m),
+            trace: trace.clone(),
+            stats: r.stats.clone(),
+        })
+    });
+    r
+}
+
+/// Append what the source produced to the trace; true when the poll
+/// brought new events or end-of-file (PG-nodes must then be revived).
+fn absorb(module: &AnalyzedModule, env: &mut TraceEnv, poll: Poll) -> Result<bool, TangoError> {
+    for e in &poll.events {
+        env.trace.push_event(e, module).map_err(TangoError::TraceResolve)?;
+    }
+    if poll.eof {
+        env.eof = true;
+    }
+    Ok(!poll.events.is_empty() || poll.eof)
+}
+
+/// Revive parked PG-nodes: fresh data may unblock output-blocked
+/// transitions, so their blocked sets are cleared. With §3.1.3
+/// reordering the revived nodes go on top of the LIFO work stack and are
+/// searched immediately; basic MDFS queues them at the bottom, after the
+/// rest of the known tree.
+fn revive(work: &mut Vec<PNode>, pg_list: &mut Vec<PNode>, reorder: bool) {
+    for n in pg_list.iter_mut() {
+        n.blocked.clear();
+    }
+    if reorder {
+        work.append(pg_list);
+    } else {
+        let rest = std::mem::take(work);
+        work.append(pg_list);
+        work.extend(rest);
+    }
+}
+
+/// The coordinator loop: poll, run bursts until the known tree is
+/// exhausted, report interim verdicts, idle-poll for more input.
+fn search(
+    cx: &Cx<'_>,
+    source: &mut dyn TraceSource,
+    on_status: &mut dyn FnMut(&Verdict) -> bool,
+    tel: &mut Telemetry,
+    env: &mut TraceEnv,
+    tally: &mut Tally,
+    front: Option<(Vec<MdfsNodeCkpt>, Vec<MdfsNodeCkpt>)>,
+) -> Result<Outcome, TangoError> {
+    let store = cx.store;
+    let reorder = cx.options.mdfs_reorder;
+    let mut work: Vec<PNode> = Vec::new();
+    let mut pg_list: Vec<PNode> = Vec::new();
+    match front {
+        None => {
+            let start = cx.machine.initial_state()?;
+            tally.stats.saves += 1;
+            let (h, _) = store.save(start);
+            if tel.hot() {
+                tel.on_save(0, h.state_bytes, false, store.resident_bytes());
+            }
+            work.push(PNode::new(h, env.save(), 0, Vec::new()));
         }
         Some((wseeds, pseeds)) => {
-            // The resumed nodes arrive resident; the RAM gauge restarts
-            // from their charges (the save faulted everything in).
-            stats.snapshot_bytes = 0;
-            for c in wseeds {
-                let n = node_from_ckpt(c);
-                stats.snapshot_bytes += n.charged();
-                work.push(n);
-            }
-            for c in pseeds {
-                let n = node_from_ckpt(c);
-                stats.snapshot_bytes += n.charged();
-                pg_list.push(n);
-            }
-            stats.peak_snapshot_bytes = stats.peak_snapshot_bytes.max(stats.snapshot_bytes);
+            work.extend(wseeds.into_iter().map(|c| PNode::thaw(store, c)));
+            pg_list.extend(pseeds.into_iter().map(|c| PNode::thaw(store, c)));
         }
     }
-
-    /// Revive parked PG-nodes: fresh data may unblock output-blocked
-    /// transitions, so their blocked sets are cleared. With §3.1.3
-    /// reordering the revived nodes go on top of the LIFO work stack and
-    /// are searched immediately; basic MDFS queues them at the bottom,
-    /// after the rest of the known tree.
-    fn revive(work: &mut Vec<Node>, pg_list: &mut Vec<Node>, reorder: bool) {
-        for n in pg_list.iter_mut() {
-            n.blocked.clear();
-        }
-        if reorder {
-            work.append(pg_list);
-        } else {
-            let rest = std::mem::take(work);
-            work.append(pg_list);
-            work.extend(rest);
-        }
-    }
+    stamp_store(&mut tally.stats, &cx.carry, store);
 
     let mut last_status: Option<Verdict> = None;
-
-    // Per-search *Generate* scratch, refilled in place by `generate_into`
-    // so every node expansion reuses one fireable buffer (the untried list
-    // drains it rather than consuming the whole `Generated`).
-    let mut gen = estelle_runtime::Generated::default();
-
     loop {
-        // Absorb anything the source produced.
-        let poll = source.poll();
-        let got_new = !poll.events.is_empty();
-        for e in &poll.events {
-            env.trace.push_event(e, module).map_err(TangoError::TraceResolve)?;
-        }
-        if poll.eof {
-            env.eof = true;
-        }
-        if got_new || poll.eof {
+        if absorb(cx.module, env, source.poll())? {
             // Dynamic node reordering: PG-nodes jump the queue.
-            revive(&mut work, &mut pg_list, options.mdfs_reorder);
+            revive(&mut work, &mut pg_list, reorder);
         }
-
-        // DFS burst until the work stack drains.
-        while let Some(mut node) = work.pop() {
-            tel.tick(&stats, cap);
-            // The counter is rebuilt from per-node charges across
-            // park/revive cycles; saturate (and flag in debug builds)
-            // rather than ever letting it wrap.
-            debug_assert!(
-                stats.snapshot_bytes >= node.charged(),
-                "snapshot byte accounting must never wrap"
-            );
-            stats.snapshot_bytes = stats.snapshot_bytes.saturating_sub(node.charged());
-            if stats.transitions_executed > options.limits.max_transitions {
-                stats.snapshot_bytes += node.charged();
-                work.push(node);
-                let ckpt = freeze_seq(
-                    &mut work,
-                    &mut pg_list,
-                    spill_tier.as_mut(),
-                    env.eof,
-                    &mut spill_faults,
-                );
-                return Ok(finish(
-                    Verdict::Inconclusive(InconclusiveReason::TransitionLimit),
-                    None,
-                    stats,
-                    spec_errors,
-                    &*source,
-                    t0,
-                    base_wall,
-                    WorkerClocks::Seq { slept },
-                    cap,
-                    spill_faults,
-                    ckpt,
-                    &env.trace,
-                    tel,
-                ));
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                stats.snapshot_bytes += node.charged();
-                work.push(node);
-                let ckpt = freeze_seq(
-                    &mut work,
-                    &mut pg_list,
-                    spill_tier.as_mut(),
-                    env.eof,
-                    &mut spill_faults,
-                );
-                return Ok(finish(
-                    Verdict::Inconclusive(InconclusiveReason::TimeLimit),
-                    None,
-                    stats,
-                    spec_errors,
-                    &*source,
-                    t0,
-                    base_wall,
-                    WorkerClocks::Seq { slept },
-                    cap,
-                    spill_faults,
-                    ckpt,
-                    &env.trace,
-                    tel,
-                ));
-            }
-            if let Some(cap_bytes) = options.limits.max_state_bytes {
-                if let Some(tier) = spill_tier.as_mut() {
-                    // Tiering, not a stop condition: evict parked
-                    // snapshots — parked PG-nodes first, then the work
-                    // stack bottom-up (coldest first) — until the
-                    // resident set plus this node (about to be faulted
-                    // in) fits the budget. If the genuinely live set
-                    // alone exceeds the budget there is nothing left to
-                    // evict and the search continues over budget — the
-                    // tier's contract is degradation, never a stop.
-                    let need = node.resident_footprint();
-                    'evict: for list in [&mut pg_list, &mut work] {
-                        for parked in list.iter_mut() {
-                            if stats.snapshot_bytes + need <= cap_bytes {
-                                break 'evict;
-                            }
-                            match spill_node(tier, parked) {
-                                Ok(moved) => {
-                                    stats.snapshot_bytes =
-                                        stats.snapshot_bytes.saturating_sub(moved);
-                                    disk_bytes += moved;
-                                }
-                                Err(e) => {
-                                    spill_faults.push(e.to_string());
-                                    stamp_spill(&mut stats, &carry, tier.counters(), disk_bytes);
-                                    return Ok(finish(
-                                        Verdict::Inconclusive(
-                                            InconclusiveReason::SpillFailure,
-                                        ),
-                                        None,
-                                        stats,
-                                        spec_errors,
-                                        &*source,
-                                        t0,
-                                        base_wall,
-                                        WorkerClocks::Seq { slept },
-                                        cap,
-                                        spill_faults,
-                                        None,
-                                        &env.trace,
-                                        tel,
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                } else if stats.snapshot_bytes + node.resident_footprint() > cap_bytes {
-                    stats.snapshot_bytes += node.charged();
-                    work.push(node);
-                    let ckpt = freeze_seq(
-                        &mut work,
-                        &mut pg_list,
-                        spill_tier.as_mut(),
-                        env.eof,
-                        &mut spill_faults,
-                    );
-                    return Ok(finish(
-                        Verdict::Inconclusive(InconclusiveReason::MemoryLimit),
-                        None,
-                        stats,
-                        spec_errors,
-                        &*source,
-                        t0,
-                        base_wall,
-                        WorkerClocks::Seq { slept },
-                        cap,
-                        spill_faults,
-                        ckpt,
-                        &env.trace,
-                        tel,
-                    ));
-                }
-            }
-            // Fault the node in before expanding it.
-            if node.state.is_none() {
-                let tier = spill_tier
-                    .as_mut()
-                    .expect("spilled nodes only exist with a spill tier");
-                match fault_in(tier, &mut node) {
-                    Ok(moved) => disk_bytes = disk_bytes.saturating_sub(moved),
-                    Err(e) => {
-                        spill_faults.push(e.to_string());
-                        stamp_spill(&mut stats, &carry, tier.counters(), disk_bytes);
-                        return Ok(finish(
-                            Verdict::Inconclusive(InconclusiveReason::SpillFailure),
-                            None,
-                            stats,
-                            spec_errors,
-                            &*source,
-                            t0,
-                            base_wall,
-                            WorkerClocks::Seq { slept },
-                            cap,
-                            spill_faults,
-                            None,
-                            &env.trace,
-                            tel,
-                        ));
-                    }
-                }
-            }
-            if let Some(t) = spill_tier.as_ref() {
-                stamp_spill(&mut stats, &carry, t.counters(), disk_bytes);
-            }
-            stats.max_depth = stats.max_depth.max(node.path.len());
-            env.restore(&node.cursors);
-            stats.restores += 1;
-            tel.on_restore(node.path.len());
-
-            if env.all_done() {
-                if env.eof {
-                    return Ok(finish(
-                        Verdict::Valid,
-                        Some(node.path),
-                        stats,
-                        spec_errors,
-                        &*source,
-                        t0,
-                        base_wall,
-                        WorkerClocks::Seq { slept },
-                        cap,
-                        spill_faults,
-                        None,
-                        &env.trace,
-                        tel,
-                    ));
-                }
-                // PGAV: everything so far is explained; park the node.
-                stats.pg_nodes += 1;
-                stats.snapshot_bytes += node.charged();
-                tel.on_park(node.path.len(), stats.pg_nodes);
-                pg_list.push(node);
-                continue;
-            }
-
-            // Generate (or re-generate) this node's transition list.
-            // COW: the scratch copy shares heap chunks with the node's
-            // snapshot; guard side effects break sharing lazily.
-            let mut st = copy_state(node.resident_state(), options);
-            stats.generates += 1;
-            let gen_t0 = tel.timer();
-            match guard("generate", || {
-                machine.generate_into(&mut st, &env, &mut gen)
-            }) {
-                Ok(()) => {}
-                Err(e) if is_fatal(&e) => return Err(TangoError::Runtime(e)),
-                Err(e) => {
-                    tel.on_error_branch(node.path.len(), e.kind);
-                    record_error(&mut spec_errors, &mut stats, e);
-                    // Keep GE == generate-events: a failed expansion is an
-                    // event with zero fanout.
-                    tel.on_generate(node.path.len(), 0, false, gen_t0);
-                    continue;
-                }
-            };
-            let is_pg = gen.incomplete;
-            let untried: Vec<_> = gen
-                .fireable
-                .drain(..)
-                .filter(|f| !node.tried.contains(&f.trans) && !node.blocked.contains(&f.trans))
-                .collect();
-            // Fanout as the search sees it: candidates not yet explored
-            // from this node (a re-generate only offers what new input
-            // enabled).
-            tel.on_generate(node.path.len(), untried.len(), is_pg, gen_t0);
-            if !untried.is_empty() {
-                stats.fanout_sum += untried.len() as u64;
-                stats.fanout_samples += 1;
-            }
-
-            let Some(f) = untried.first().cloned() else {
-                if is_pg || !node.blocked.is_empty() {
-                    if pg_list.len() >= options.limits.max_pg_nodes {
-                        stats.snapshot_bytes += node.charged();
-                        work.push(node);
-                        let ckpt = freeze_seq(
-                            &mut work,
-                            &mut pg_list,
-                            spill_tier.as_mut(),
-                            env.eof,
-                            &mut spill_faults,
-                        );
-                        return Ok(finish(
-                            Verdict::Inconclusive(InconclusiveReason::PgNodeLimit),
-                            None,
-                            stats,
-                            spec_errors,
-                            &*source,
-                            t0,
-                            base_wall,
-                            WorkerClocks::Seq { slept },
-                            cap,
-                            spill_faults,
-                            ckpt,
-                            &env.trace,
-                            tel,
-                        ));
-                    }
-                    stats.pg_nodes += 1;
-                    stats.snapshot_bytes += node.charged();
-                    tel.on_park(node.path.len(), stats.pg_nodes);
-                    pg_list.push(node);
-                }
-                continue;
-            };
-
-            // Fire the child on a fresh copy of the node's state.
-            node.tried.insert(f.trans);
-            let mut child_state = copy_state(node.resident_state(), options);
-            env.restore(&node.cursors);
-            let before = env.outstanding();
-            stats.transitions_executed += 1;
-            let fire_t0 = tel.timer();
-            env.begin_fire();
-            let fired = match guard("fire", || machine.fire(&mut child_state, &f, &mut env)) {
-                Ok(FireOutcome::Completed) => env.end_fire(),
-                Ok(FireOutcome::OutputRejected) => false,
-                Err(e) if is_fatal(&e) => return Err(TangoError::Runtime(e)),
-                Err(e) => {
-                    tel.on_error_branch(node.path.len(), e.kind);
-                    record_error(&mut spec_errors, &mut stats, e);
-                    false
-                }
-            };
-            if tel.hot() {
-                let observable = if tel.events_on() {
-                    machine.transition_observable(f.trans)
-                } else {
-                    None
-                };
-                tel.on_fire(
-                    node.path.len(),
-                    f.trans,
-                    machine.transition_name(f.trans),
-                    observable,
-                    fired,
-                    fire_t0,
-                );
-            }
-            if !fired && env.last_reject == Some(RejectReason::MayGrow) {
-                // The failure was "output not in the trace *yet*": park it
-                // as blocked and retry once data arrives.
-                node.tried.remove(&f.trans);
-                node.blocked.insert(f.trans);
-            }
-
-            let has_more = untried.len() > 1 || is_pg || !node.blocked.is_empty();
-            if fired {
-                let child_barren = if env.outstanding() < before {
-                    0
-                } else {
-                    node.barren + 1
-                };
-                let mut child_path = node.path.clone();
-                child_path.push(machine.transition_name(f.trans).to_string());
-                if has_more {
-                    stats.snapshot_bytes += node.charged();
-                    work.push(node);
-                }
-                if child_barren > options.limits.max_barren_steps {
-                    stats.barren_prunes += 1;
-                    tel.on_prune(child_path.len(), PruneKind::Barren);
-                } else {
-                    stats.saves += 1;
-                    let child = Node::new(child_state, env.save(), child_barren, child_path);
-                    stats.snapshot_bytes += child.charged();
-                    stats.peak_snapshot_bytes =
-                        stats.peak_snapshot_bytes.max(stats.snapshot_bytes);
-                    if tel.hot() {
-                        tel.on_save(child.path.len(), child.charged(), false, stats.snapshot_bytes);
-                    }
-                    work.push(child);
-                }
-            } else if has_more {
-                stats.snapshot_bytes += node.charged();
-                work.push(node);
+        while !work.is_empty() {
+            let mut inputs = std::mem::take(&mut work);
+            inputs.reverse(); // sequential pop order
+            if let Some(end) = run_burst(cx, tel, env, tally, inputs, &mut pg_list)? {
+                return Ok(end);
             }
         }
 
         // The tree (as currently known) is exhausted.
         if env.eof {
             if pg_list.is_empty() {
-                return Ok(finish(
-                    Verdict::Invalid,
-                    None,
-                    stats,
-                    spec_errors,
-                    &*source,
-                    t0,
-                    base_wall,
-                    WorkerClocks::Seq { slept },
-                    cap,
-                    spill_faults,
-                    None,
-                    &env.trace,
-                    tel,
-                ));
+                return Ok(Outcome::of(Verdict::Invalid));
             }
             // EOF makes PG-nodes fully generated: process them once more.
-            revive(&mut work, &mut pg_list, options.mdfs_reorder);
+            revive(&mut work, &mut pg_list, reorder);
             continue;
         }
         if pg_list.is_empty() {
             // No PG-node can be revived by future input: conclusively
             // invalid even though the trace may keep growing (§3.1.2).
-            return Ok(finish(
-                Verdict::Invalid,
-                None,
-                stats,
-                spec_errors,
-                &*source,
-                t0,
-                base_wall,
-                WorkerClocks::Seq { slept },
-                cap,
-                spill_faults,
-                None,
-                &env.trace,
-                tel,
-            ));
+            return Ok(Outcome::of(Verdict::Invalid));
         }
 
         // Interim verdict: PGAV ⇒ valid so far, else likely invalid.
@@ -1047,21 +636,7 @@ fn run_seq(
             last_status = Some(status.clone());
         }
         if !on_status(&status) {
-            return Ok(finish(
-                status,
-                None,
-                stats,
-                spec_errors,
-                &*source,
-                t0,
-                base_wall,
-                WorkerClocks::Seq { slept },
-                cap,
-                spill_faults,
-                None,
-                &env.trace,
-                tel,
-            ));
+            return Ok(Outcome::of(status));
         }
 
         // Block until the source has more to say — but never past the
@@ -1069,313 +644,442 @@ fn run_seq(
         // back off on the shared [`RetryPolicy::mdfs_poll`] schedule
         // (1ms doubling to 16ms) while the source stays silent; entering
         // this loop anew (i.e. after data arrived) starts over at the
-        // minimum interval.
+        // minimum interval. Every worker is idle meanwhile.
         let mut idle = Backoff::new(RetryPolicy::mdfs_poll());
         loop {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                let ckpt = freeze_seq(
-                    &mut work,
-                    &mut pg_list,
-                    spill_tier.as_mut(),
-                    env.eof,
-                    &mut spill_faults,
-                );
-                return Ok(finish(
-                    Verdict::Inconclusive(InconclusiveReason::TimeLimit),
-                    None,
-                    stats,
-                    spec_errors,
-                    &*source,
-                    t0,
-                    base_wall,
-                    WorkerClocks::Seq { slept },
-                    cap,
-                    spill_faults,
-                    ckpt,
-                    &env.trace,
-                    tel,
-                ));
+            if cx.deadline.is_some_and(|d| Instant::now() >= d) {
+                let fronts = (0..cx.workers).map(|_| (Vec::new(), Vec::new())).collect();
+                let checkpoint = freeze(store, fronts, &pg_list, env.eof, &mut tally.spill_faults);
+                return Ok(Outcome {
+                    checkpoint,
+                    ..Outcome::of(Verdict::Inconclusive(InconclusiveReason::TimeLimit))
+                });
             }
-            let p = source.poll();
-            if !p.events.is_empty() || p.eof {
-                for e in &p.events {
-                    env.trace.push_event(e, module).map_err(TangoError::TraceResolve)?;
-                }
-                if p.eof {
-                    env.eof = true;
-                }
-                revive(&mut work, &mut pg_list, options.mdfs_reorder);
+            if absorb(cx.module, env, source.poll())? {
+                revive(&mut work, &mut pg_list, reorder);
                 break;
             }
             // Never sleep past the deadline — the expiry check above
             // stays exact to within scheduler latency.
             let idle_sleep = idle.next_delay();
-            let sleep = match deadline {
+            let sleep = match cx.deadline {
                 Some(d) => idle_sleep.min(d.saturating_duration_since(Instant::now())),
                 None => idle_sleep,
             };
             std::thread::sleep(sleep);
-            slept += sleep;
+            for c in &mut tally.clocks {
+                c.idle += sleep;
+            }
         }
     }
 }
 
-/// One parallel search node; its snapshot lives in the [`ShardedStore`].
-///
-/// `key`/`step` implement the deterministic park labels: the root nodes
-/// of a burst get `key = [i]` (their sequential pop order), every pop of
-/// a node consumes one `step`, and a child created at the parent's step
-/// `s` gets `key = parent.key ++ [s]`. Sequential pop labels are
-/// lexicographically increasing (a child's subtree is fully explored
-/// between its parent's pops `s` and `s+1`), so sorting parked nodes by
-/// their park label `key ++ [step]` reproduces the single-worker park
-/// order no matter which worker parked them.
-struct PNode {
-    handle: StoreHandle,
-    cursors: Cursors,
-    tried: HashSet<usize>,
-    blocked: HashSet<usize>,
-    barren: usize,
-    path: Vec<String>,
-    key: Vec<u32>,
-    step: u32,
+/// Run one burst over `inputs` (in sequential pop order) and merge it
+/// into the tally. `Some` ends the run; `None` means the burst exhausted
+/// its tree and its parked PG-nodes joined `pg_list`.
+fn run_burst(
+    cx: &Cx<'_>,
+    tel: &mut Telemetry,
+    env: &mut TraceEnv,
+    tally: &mut Tally,
+    inputs: Vec<PNode>,
+    pg_list: &mut Vec<PNode>,
+) -> Result<Option<Outcome>, TangoError> {
+    let store = cx.store;
+    // Post-eof bursts may conclude Valid. N racing workers may find a
+    // witness other than the sequential first one, so keep second
+    // handles on the inputs to re-run a witness burst at one worker.
+    let replay = (env.eof && cx.workers > 1).then(|| {
+        let seeds: Vec<PNode> = inputs.iter().map(|n| n.duplicate(store)).collect();
+        (seeds, tally.stats.clone(), tally.spec_errors.clone())
+    });
+    let pg0 = pg_list.len();
+    let mut end = burst(cx, tel, env, &tally.stats, inputs, pg0, cx.workers, true);
+    match replay {
+        Some((seeds, stats, spec_errors)) if matches!(end.stop, Some(StopCause::Witness(_))) => {
+            // Discard the burst's deltas and front; keep the honest clocks.
+            for (c, o) in tally.clocks.iter_mut().zip(&end.outs) {
+                c.add(&o.clock);
+            }
+            end.release(store);
+            tally.stats = stats;
+            tally.spec_errors = spec_errors;
+            end = burst(cx, tel, env, &tally.stats, seeds, pg0, 1, false);
+        }
+        Some((seeds, ..)) => seeds.into_iter().for_each(|n| store.release(n.handle)),
+        None => {}
+    }
+
+    // Completed steps are exact whatever stopped the burst (tiling).
+    let mut parked: Vec<Vec<(Vec<u32>, PNode)>> = Vec::with_capacity(end.outs.len());
+    for (i, o) in end.outs.into_iter().enumerate() {
+        tally.clocks[i].add(&o.clock);
+        tally.stats.absorb(&o.delta);
+        tally.spec_errors.extend(o.spec_errors);
+        tally.spill_faults.extend(o.spill_faults);
+        parked.push(o.parked);
+    }
+    tally.spec_errors.truncate(MAX_RECORDED_ERRORS);
+    stamp_store(&mut tally.stats, &cx.carry, store);
+
+    match end.stop {
+        None => {
+            // Deterministic park order (see `PNode::key`).
+            let mut all: Vec<(Vec<u32>, PNode)> = parked.into_iter().flatten().collect();
+            all.sort_by(|a, b| a.0.cmp(&b.0));
+            pg_list.extend(all.into_iter().map(|(_, n)| n));
+            Ok(None)
+        }
+        Some(StopCause::Fatal(e)) => Err(TangoError::Runtime(e)),
+        Some(StopCause::Witness(path)) => Ok(Some(Outcome {
+            witness: Some(path),
+            ..Outcome::of(Verdict::Valid)
+        })),
+        Some(StopCause::Limit(reason)) => {
+            let checkpoint = if matches!(reason, InconclusiveReason::SpillFailure) {
+                tally.spill_faults.extend(store.take_fault().map(|f| f.to_string()));
+                None
+            } else {
+                let fronts = end
+                    .deques
+                    .into_iter()
+                    .zip(parked)
+                    .map(|(dq, p)| {
+                        let deque = dq.into_inner().expect("deque lock");
+                        (deque.into(), p.into_iter().map(|(_, n)| n).collect())
+                    })
+                    .collect();
+                freeze(store, fronts, pg_list, env.eof, &mut tally.spill_faults)
+            };
+            Ok(Some(Outcome {
+                checkpoint,
+                ..Outcome::of(Verdict::Inconclusive(reason))
+            }))
+        }
+    }
 }
 
-/// One buffered telemetry event from a worker thread. The `Telemetry`
-/// handle is not `Send`, so workers record plain data and the
-/// coordinator replays batches through the real handle (stamped with the
-/// worker id). No strings cross the channel — names are resolved at
-/// replay time, and only when the event stream is actually on.
-enum WEvent {
-    Generate {
-        depth: usize,
-        fanout: usize,
-        incomplete: bool,
-        lat_us: Option<f64>,
-    },
-    Fire {
-        depth: usize,
-        trans: usize,
-        fired: bool,
-        nanos: u64,
-    },
-    Save {
-        depth: usize,
-        bytes: usize,
-        interned: bool,
-        resident: usize,
-    },
-    Restore {
-        depth: usize,
-    },
-    Park {
-        depth: usize,
-        pg_total: u64,
-    },
-    Prune {
-        depth: usize,
-    },
-    ErrorBranch {
-        depth: usize,
-        kind: RuntimeErrorKind,
-    },
+/// Freeze a stopped front: per worker its leftover deque (bottom to top)
+/// and the nodes it parked in the stopped burst, plus the prior PG-list.
+/// A spill read failure makes the stop un-checkpointable (recorded as a
+/// fault instead).
+fn freeze(
+    store: &ShardedStore,
+    fronts: Vec<(Vec<PNode>, Vec<PNode>)>,
+    pg_list: &[PNode],
+    eof: bool,
+    spill_faults: &mut Vec<String>,
+) -> Option<MdfsCheckpoint> {
+    let all = |nodes: &[PNode]| -> Result<Vec<MdfsNodeCkpt>, SpillError> {
+        nodes.iter().map(|n| n.freeze(store)).collect()
+    };
+    let frozen = (|| -> Result<MdfsCheckpoint, SpillError> {
+        let mut workers = Vec::with_capacity(fronts.len());
+        for (deque, parked) in &fronts {
+            workers.push(MdfsWorkerCkpt {
+                deque: all(deque)?,
+                parked: all(parked)?,
+            });
+        }
+        Ok(MdfsCheckpoint {
+            workers_at_save: fronts.len() as u32,
+            eof,
+            workers,
+            pg_prior: all(pg_list)?,
+        })
+    })();
+    match frozen {
+        Ok(m) => Some(m),
+        Err(e) => {
+            spill_faults.push(format!("checkpoint save skipped: {}", e));
+            None
+        }
+    }
 }
 
-/// Why a burst stopped early. First setter wins; later causes are
-/// dropped (their worker already pushed its node back, so nothing is
-/// lost either way).
-enum StopCause {
-    /// A valid leaf was found post-eof; the coordinator replays the
-    /// burst sequentially for the deterministic first witness.
-    Witness,
-    /// A resource limit tripped; the surviving front is checkpointed.
-    Limit(InconclusiveReason),
-    /// A fatal runtime error (engine bug class) — propagated as `Err`.
-    Fatal(RuntimeError),
-}
-
-/// Shared state of one burst.
-struct BurstShared<'s> {
-    /// Per-worker deques: owner pushes/pops at the back (LIFO), thieves
-    /// pop at the front (FIFO — the coldest, usually largest subtree).
+/// How one burst ended: the stop cause (`None`: the tree was exhausted),
+/// each worker's output, and the deques holding the surviving front.
+struct BurstEnd {
+    stop: Option<StopCause>,
+    outs: Vec<WorkerOut>,
     deques: Vec<Mutex<VecDeque<PNode>>>,
-    /// Nodes alive in deques or being processed. A thief that finds
-    /// every deque empty checks this: zero means the burst is done
-    /// (nodes in flight are still counted until retired or parked).
-    pending: AtomicUsize,
-    stop: Mutex<Option<StopCause>>,
-    stopped: AtomicBool,
-    /// Live TE/GE/RE/SA counters (seeded from the cumulative stats at
-    /// burst start) — the TE limit check and the progress heartbeat
-    /// read these; the authoritative merge uses per-worker deltas.
-    te: AtomicU64,
-    ge: AtomicU64,
-    re: AtomicU64,
-    sa: AtomicU64,
-    /// Current parked-PG population (seeded with the prior PG-list len),
-    /// for the `max_pg_nodes` limit.
-    pg: AtomicU64,
-    depth: AtomicUsize,
-    store: &'s ShardedStore,
 }
 
-impl BurstShared<'_> {
-    fn set_stop(&self, cause: StopCause) {
-        let mut s = self.stop.lock().expect("stop lock");
-        if s.is_none() {
-            *s = Some(cause);
+impl BurstEnd {
+    /// Drop every node the burst left behind.
+    fn release(&mut self, store: &ShardedStore) {
+        for dq in &mut self.deques {
+            let dq = dq.get_mut().expect("deque lock");
+            dq.drain(..).for_each(|n| store.release(n.handle));
         }
-        self.stopped.store(true, Ordering::Release);
+        for o in &mut self.outs {
+            o.parked.drain(..).for_each(|(_, n)| store.release(n.handle));
+        }
     }
 }
 
-/// What one worker brings back from a burst: its counter delta (zero
-/// gauges — those are re-stamped from the store), recorded spec errors,
-/// parked PG-nodes with their park labels, and its wall-clock split.
-#[derive(Default)]
-struct WorkerOut {
-    delta: SearchStats,
-    spec_errors: Vec<RuntimeError>,
-    parked: Vec<(Vec<u32>, PNode)>,
-    spill_faults: Vec<String>,
-    busy: Duration,
-    idle: Duration,
-    steal: Duration,
+/// Drain one burst's tree with `n` workers over the frozen trace in
+/// `env`. Worker 0 runs on this thread; workers 1..n are spawned, each
+/// with its own cursor view (a clone of `env`). `events` off suppresses
+/// the event stream (a witness replay: the first pass already streamed).
+#[allow(clippy::too_many_arguments)]
+fn burst(
+    cx: &Cx<'_>,
+    tel: &mut Telemetry,
+    env: &mut TraceEnv,
+    base: &SearchStats,
+    inputs: Vec<PNode>,
+    pg_prior: usize,
+    n: usize,
+    events: bool,
+) -> BurstEnd {
+    let n_inputs = inputs.len();
+    let sh = BurstShared {
+        deques: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
+        pending: AtomicUsize::new(n_inputs),
+        stop: Mutex::new(None),
+        stopped: AtomicBool::new(false),
+        te: AtomicU64::new(base.transitions_executed),
+        ge: AtomicU64::new(base.generates),
+        re: AtomicU64::new(base.restores),
+        sa: AtomicU64::new(base.saves),
+        pg: AtomicU64::new(pg_prior as u64),
+        depth: AtomicUsize::new(base.max_depth),
+        labelled: n > 1,
+        store: cx.store,
+    };
+    // Input i (in sequential pop order) gets park key [i]; inputs are
+    // dealt round-robin, pushed in reverse so each owner pops its
+    // earliest input first.
+    for (j, mut node) in inputs.into_iter().rev().enumerate() {
+        let i = n_inputs - 1 - j;
+        node.key.clear();
+        if sh.labelled {
+            node.key.push(i as u32);
+        }
+        node.step = 0;
+        sh.push(i % n, node);
+    }
+
+    let events = events && tel.hot();
+    let timed = events && tel.timer().is_some();
+    let cap = cx.options.limits.max_transitions;
+    let mut outs = Vec::with_capacity(n);
+    std::thread::scope(|s| {
+        let (tx, rx) = mpsc::channel::<(u16, Vec<WEvent>)>();
+        let sh = &sh;
+        let handles: Vec<_> = (1..n)
+            .map(|i| {
+                let tx = tx.clone();
+                let mut wenv = env.clone();
+                s.spawn(move || {
+                    let mut send = |buf: &mut Vec<WEvent>| {
+                        if !buf.is_empty() {
+                            let _ = tx.send((i as u16, std::mem::take(buf)));
+                        }
+                    };
+                    guarded(sh, || burst_worker(i, cx, &mut wenv, sh, events, timed, &mut send))
+                })
+            })
+            .collect();
+        drop(tx);
+        // Worker 0 takes over the coordinator's duties at each flush:
+        // replaying its own and the other workers' event batches, and
+        // the progress heartbeat.
+        let mut coordinate = |buf: &mut Vec<WEvent>| {
+            if !buf.is_empty() {
+                replay_events(tel, cx.machine, 0, std::mem::take(buf));
+            }
+            while let Ok((w, batch)) = rx.try_recv() {
+                replay_events(tel, cx.machine, w, batch);
+            }
+            tick_par(tel, base, sh, cap);
+        };
+        outs.push(guarded(sh, || {
+            burst_worker(0, cx, env, sh, events, timed, &mut coordinate)
+        }));
+        // Then wait for the others: each hangs up its sender on exit.
+        loop {
+            match rx.recv_timeout(Duration::from_millis(25)) {
+                Ok((w, batch)) => replay_events(tel, cx.machine, w, batch),
+                Err(mpsc::RecvTimeoutError::Timeout) => tick_par(tel, base, sh, cap),
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        for h in handles {
+            outs.push(h.join().unwrap_or_else(|p| resume_unwind(p)));
+        }
+    });
+    tel.set_worker(0);
+    BurstEnd {
+        stop: sh.stop.into_inner().expect("stop lock"),
+        outs,
+        deques: sh.deques,
+    }
+}
+
+/// Run a burst worker, turning an unwinding panic into a burst stop
+/// before re-raising it. Spec-level panics are already contained per
+/// step (`search::guard`); this backstop covers infrastructure panics,
+/// which would otherwise leave `pending` forever non-zero and spin the
+/// other workers.
+fn guarded(sh: &BurstShared<'_>, f: impl FnOnce() -> WorkerOut) -> WorkerOut {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|p| {
+        sh.stopped.store(true, Ordering::Release);
+        resume_unwind(p)
+    })
 }
 
 /// One worker's burst loop: pop own-LIFO, steal FIFO round-robin, park
-/// briefly when everything is empty, expand nodes with the same
-/// per-step governance as the sequential loop. Every stop site pushes
-/// the in-flight node back to the owner's deque first, so the surviving
-/// front is complete whichever cause wins the stop race.
-#[allow(clippy::too_many_arguments)]
+/// briefly when everything is empty, expand nodes under per-step
+/// governance. Every stop site pushes the in-flight node back to the
+/// owner's deque first, so the surviving front is complete whichever
+/// cause wins the stop race. `flush` receives the buffered events every
+/// [`EVENT_FLUSH`] events or [`FLUSH_EVERY_POPS`] pops, and at exit.
 fn burst_worker(
     widx: usize,
-    machine: &Machine,
-    mut env: TraceEnv,
-    options: &AnalysisOptions,
-    deadline: Option<Instant>,
+    cx: &Cx<'_>,
+    env: &mut TraceEnv,
     sh: &BurstShared<'_>,
-    events: Option<mpsc::Sender<(u16, Vec<WEvent>)>>,
+    events: bool,
     timed: bool,
+    flush: &mut dyn FnMut(&mut Vec<WEvent>),
 ) -> WorkerOut {
+    let (machine, options, store) = (cx.machine, cx.options, sh.store);
     let n_workers = sh.deques.len();
     let cap = options.limits.max_transitions;
     let mut out = WorkerOut::default();
     let mut gen = estelle_runtime::Generated::default();
     let mut ebuf: Vec<WEvent> = Vec::new();
-    let tel_on = events.is_some();
+    let mut pops: u32 = 0;
     let t_loop = Instant::now();
 
-    fn flush(events: &Option<mpsc::Sender<(u16, Vec<WEvent>)>>, widx: usize, ebuf: &mut Vec<WEvent>) {
-        if let Some(tx) = events {
-            if !ebuf.is_empty() {
-                let _ = tx.send((widx as u16, std::mem::take(ebuf)));
-            }
+    // GE/RE/SA already added to the shared heartbeat counters.
+    let mut published = [0u64; 3];
+    let mut publish = |d: &SearchStats| {
+        let now = [d.generates, d.restores, d.saves];
+        for ((total, p), n) in [&sh.ge, &sh.re, &sh.sa].into_iter().zip(&mut published).zip(now) {
+            total.fetch_add(n - *p, Ordering::Relaxed);
+            *p = n;
         }
-    }
+    };
 
+    // The child just saved: the owner's next pop in depth-first order,
+    // kept in hand rather than round-tripped through the deque.
+    let mut next: Option<PNode> = None;
     loop {
         if sh.stopped.load(Ordering::Acquire) {
+            // Keep the front complete for the checkpoint.
+            if let Some(n) = next.take() {
+                sh.push(widx, n);
+            }
             break;
         }
-        let popped = sh.deques[widx].lock().expect("deque lock").pop_back();
-        let mut node = match popped {
-            Some(n) => n,
-            None => {
-                // Steal-then-park: scan the other deques round-robin
-                // from our right-hand neighbour, taking from the top.
-                let t_steal = Instant::now();
-                let mut stolen = None;
-                for k in 1..n_workers {
-                    let v = (widx + k) % n_workers;
-                    if let Some(n) = sh.deques[v].lock().expect("deque lock").pop_front() {
-                        stolen = Some(n);
-                        break;
-                    }
-                }
-                out.steal += t_steal.elapsed();
-                match stolen {
-                    Some(n) => {
-                        out.delta.steals += 1;
-                        n
-                    }
-                    None => {
-                        out.delta.steal_failures += 1;
-                        if sh.pending.load(Ordering::Acquire) == 0 {
-                            break;
-                        }
-                        let t_idle = Instant::now();
-                        std::thread::sleep(IDLE_PARK);
-                        out.idle += t_idle.elapsed();
-                        continue;
-                    }
-                }
+        pops = pops.wrapping_add(1);
+        if ebuf.len() >= EVENT_FLUSH || pops.is_multiple_of(FLUSH_EVERY_POPS) {
+            publish(&out.delta);
+            flush(&mut ebuf);
+        }
+        let mut popped =
+            next.take().or_else(|| sh.deques[widx].lock().expect("deque lock").pop_back());
+        if popped.is_none() && n_workers > 1 {
+            // Steal: scan the other deques round-robin from our
+            // right-hand neighbour, taking from the top.
+            let t_steal = Instant::now();
+            popped = (1..n_workers).find_map(|k| {
+                let v = (widx + k) % n_workers;
+                sh.deques[v].lock().expect("deque lock").pop_front()
+            });
+            out.clock.steal += t_steal.elapsed();
+            if popped.is_some() {
+                out.delta.steals += 1;
+            } else {
+                out.delta.steal_failures += 1;
             }
+        }
+        let Some(mut node) = popped else {
+            // Nothing to pop or steal: the burst is over once no node is
+            // alive anywhere; otherwise park briefly and rescan.
+            if sh.pending.load(Ordering::Acquire) == 0 {
+                break;
+            }
+            let t_idle = Instant::now();
+            std::thread::sleep(IDLE_PARK);
+            out.clock.idle += t_idle.elapsed();
+            continue;
         };
 
         let depth = node.path.len();
-        // Per-pop governance, mirroring the sequential loop's order.
+        // Per-pop governance, checked before the step mutates anything.
         if sh.te.load(Ordering::Relaxed) > cap {
-            sh.deques[widx].lock().expect("deque lock").push_back(node);
+            sh.push(widx, node);
             sh.set_stop(StopCause::Limit(InconclusiveReason::TransitionLimit));
             break;
         }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            sh.deques[widx].lock().expect("deque lock").push_back(node);
+        if cx.deadline.is_some_and(|d| Instant::now() >= d) {
+            sh.push(widx, node);
             sh.set_stop(StopCause::Limit(InconclusiveReason::TimeLimit));
             break;
         }
-        if let Some(cap_bytes) = options.limits.max_state_bytes {
-            if sh.store.spill_enabled() {
-                // Degrade: evict cold slots until this node's expansion
-                // fits; a poisoned store (write failure) stops instead.
-                sh.store.evict_to_budget(node.handle.state_bytes);
-                if sh.store.is_poisoned() {
-                    sh.deques[widx].lock().expect("deque lock").push_back(node);
-                    sh.set_stop(StopCause::Limit(InconclusiveReason::SpillFailure));
-                    break;
-                }
-            } else if sh.store.resident_bytes() + node.handle.state_bytes > cap_bytes {
-                sh.deques[widx].lock().expect("deque lock").push_back(node);
-                sh.set_stop(StopCause::Limit(InconclusiveReason::MemoryLimit));
-                break;
-            }
+        // With a spill tier the budget is a tiering policy (the store
+        // evicts to it) and only a write failure stops the search.
+        if store.is_poisoned() {
+            sh.push(widx, node);
+            sh.set_stop(StopCause::Limit(InconclusiveReason::SpillFailure));
+            break;
+        }
+        if !store.spill_enabled()
+            && options
+                .limits
+                .max_state_bytes
+                .is_some_and(|cap| store.resident_bytes() + node.handle.state_bytes > cap)
+        {
+            sh.push(widx, node);
+            sh.set_stop(StopCause::Limit(InconclusiveReason::MemoryLimit));
+            break;
         }
 
         let s = node.step;
         node.step += 1;
-        out.delta.max_depth = out.delta.max_depth.max(depth);
-        sh.depth.fetch_max(depth, Ordering::Relaxed);
+        if depth > out.delta.max_depth {
+            out.delta.max_depth = depth;
+            sh.depth.fetch_max(depth, Ordering::Relaxed);
+        }
         env.restore(&node.cursors);
         out.delta.restores += 1;
-        sh.re.fetch_add(1, Ordering::Relaxed);
-        if tel_on {
+        if events {
             ebuf.push(WEvent::Restore { depth });
         }
 
+        let park_label = |node: &PNode| {
+            let mut label = Vec::new();
+            if sh.labelled {
+                label.reserve(node.key.len() + 1);
+                label.extend_from_slice(&node.key);
+                label.push(s);
+            }
+            label
+        };
         if env.all_done() {
             if env.eof {
                 // Witness found: keep the node alive in the deques (a
-                // racing limit stop must still see a complete front)
-                // and let the coordinator replay the burst.
-                sh.deques[widx].lock().expect("deque lock").push_back(node);
-                sh.set_stop(StopCause::Witness);
+                // racing limit stop must still see a complete front).
+                let path = node.path.clone();
+                sh.push(widx, node);
+                sh.set_stop(StopCause::Witness(path));
                 break;
             }
-            // PGAV: park with its deterministic label.
+            // PGAV: everything so far is explained; park the node.
             out.delta.pg_nodes += 1;
             let total = sh.pg.fetch_add(1, Ordering::Relaxed) + 1;
-            if tel_on {
+            if events {
                 ebuf.push(WEvent::Park {
                     depth,
                     pg_total: total,
                 });
             }
-            let mut label = node.key.clone();
-            label.push(s);
             sh.pending.fetch_sub(1, Ordering::AcqRel);
-            out.parked.push((label, node));
+            out.parked.push((park_label(&node), node));
             continue;
         }
 
@@ -1384,29 +1088,30 @@ fn burst_worker(
         // whole expansion: `pristine` is the scratch's source *and*
         // becomes the child's state if a transition fires (generate may
         // dirty the scratch, so the fire gets the untouched copy).
-        let pristine = match sh.store.materialize(node.handle) {
+        let pristine = match store.materialize(node.handle) {
             Ok(st) => st,
             Err(e) => {
                 out.spill_faults.push(e.to_string());
-                sh.deques[widx].lock().expect("deque lock").push_back(node);
+                sh.push(widx, node);
                 sh.set_stop(StopCause::Limit(InconclusiveReason::SpillFailure));
                 break;
             }
         };
-        let mut st = copy_state(&pristine, options);
+        let mut st = pristine.snapshot();
         out.delta.generates += 1;
-        sh.ge.fetch_add(1, Ordering::Relaxed);
         let g0 = if timed { Some(Instant::now()) } else { None };
-        match guard("generate", || machine.generate_into(&mut st, &env, &mut gen)) {
+        match guard("generate", || machine.generate_into(&mut st, env, &mut gen)) {
             Ok(()) => {}
             Err(e) if is_fatal(&e) => {
-                sh.deques[widx].lock().expect("deque lock").push_back(node);
+                sh.push(widx, node);
                 sh.set_stop(StopCause::Fatal(e));
                 break;
             }
             Err(e) => {
-                if tel_on {
+                if events {
                     ebuf.push(WEvent::ErrorBranch { depth, kind: e.kind });
+                    // Keep GE == generate-events: a failed expansion is
+                    // an event with zero fanout.
                     ebuf.push(WEvent::Generate {
                         depth,
                         fanout: 0,
@@ -1415,7 +1120,7 @@ fn burst_worker(
                     });
                 }
                 record_error(&mut out.spec_errors, &mut out.delta, e);
-                sh.store.release(node.handle);
+                store.release(node.handle);
                 sh.pending.fetch_sub(1, Ordering::AcqRel);
                 continue;
             }
@@ -1426,7 +1131,9 @@ fn burst_worker(
             .drain(..)
             .filter(|f| !node.tried.contains(&f.trans) && !node.blocked.contains(&f.trans))
             .collect();
-        if tel_on {
+        // Fanout as the search sees it: candidates not yet explored from
+        // this node (a re-generate only offers what new input enabled).
+        if events {
             ebuf.push(WEvent::Generate {
                 depth,
                 fanout: untried.len(),
@@ -1442,24 +1149,22 @@ fn burst_worker(
         let Some(f) = untried.first().cloned() else {
             if is_pg || !node.blocked.is_empty() {
                 if sh.pg.load(Ordering::Relaxed) >= options.limits.max_pg_nodes as u64 {
-                    sh.deques[widx].lock().expect("deque lock").push_back(node);
+                    sh.push(widx, node);
                     sh.set_stop(StopCause::Limit(InconclusiveReason::PgNodeLimit));
                     break;
                 }
                 out.delta.pg_nodes += 1;
                 let total = sh.pg.fetch_add(1, Ordering::Relaxed) + 1;
-                if tel_on {
+                if events {
                     ebuf.push(WEvent::Park {
                         depth,
                         pg_total: total,
                     });
                 }
-                let mut label = node.key.clone();
-                label.push(s);
                 sh.pending.fetch_sub(1, Ordering::AcqRel);
-                out.parked.push((label, node));
+                out.parked.push((park_label(&node), node));
             } else {
-                sh.store.release(node.handle);
+                store.release(node.handle);
                 sh.pending.fetch_sub(1, Ordering::AcqRel);
             }
             continue;
@@ -1475,23 +1180,23 @@ fn burst_worker(
         sh.te.fetch_add(1, Ordering::Relaxed);
         let f0 = if timed { Some(Instant::now()) } else { None };
         env.begin_fire();
-        let fired = match guard("fire", || machine.fire(&mut child_state, &f, &mut env)) {
+        let fired = match guard("fire", || machine.fire(&mut child_state, &f, env)) {
             Ok(FireOutcome::Completed) => env.end_fire(),
             Ok(FireOutcome::OutputRejected) => false,
             Err(e) if is_fatal(&e) => {
-                sh.deques[widx].lock().expect("deque lock").push_back(node);
+                sh.push(widx, node);
                 sh.set_stop(StopCause::Fatal(e));
                 break;
             }
             Err(e) => {
-                if tel_on {
+                if events {
                     ebuf.push(WEvent::ErrorBranch { depth, kind: e.kind });
                 }
                 record_error(&mut out.spec_errors, &mut out.delta, e);
                 false
             }
         };
-        if tel_on {
+        if events {
             ebuf.push(WEvent::Fire {
                 depth,
                 trans: f.trans,
@@ -1500,11 +1205,14 @@ fn burst_worker(
             });
         }
         if !fired && env.last_reject == Some(RejectReason::MayGrow) {
+            // The failure was "output not in the trace *yet*": park it
+            // as blocked and retry once data arrives.
             node.tried.remove(&f.trans);
             node.blocked.insert(f.trans);
         }
 
         let has_more = untried.len() > 1 || is_pg || !node.blocked.is_empty();
+        let mut child = None;
         if fired {
             let child_barren = if env.outstanding() < before {
                 0
@@ -1513,359 +1221,54 @@ fn burst_worker(
             };
             let mut child_path = node.path.clone();
             child_path.push(machine.transition_name(f.trans).to_string());
-            let mut child_key = node.key.clone();
-            child_key.push(s);
-            let mut child_opt = None;
             if child_barren > options.limits.max_barren_steps {
                 out.delta.barren_prunes += 1;
-                if tel_on {
+                if events {
                     ebuf.push(WEvent::Prune {
                         depth: child_path.len(),
                     });
                 }
             } else {
                 out.delta.saves += 1;
-                sh.sa.fetch_add(1, Ordering::Relaxed);
-                let (h, interned) = sh.store.save(child_state);
-                if tel_on {
+                let (h, interned) = store.save(child_state);
+                if events {
                     ebuf.push(WEvent::Save {
                         depth: child_path.len(),
-                        bytes: h.state_bytes,
+                        bytes: if interned { 0 } else { h.state_bytes },
                         interned,
-                        resident: sh.store.resident_bytes(),
+                        resident: store.resident_bytes(),
                     });
                 }
-                let child = PNode {
-                    handle: h,
-                    cursors: env.save(),
-                    tried: HashSet::new(),
-                    blocked: HashSet::new(),
-                    barren: child_barren,
-                    path: child_path,
-                    key: child_key,
-                    step: 0,
-                };
+                let mut c = PNode::new(h, env.save(), child_barren, child_path);
+                if sh.labelled {
+                    c.key.reserve(node.key.len() + 1);
+                    c.key.extend_from_slice(&node.key);
+                    c.key.push(s);
+                }
                 // Count the child before it becomes visible so `pending`
                 // can never dip to zero while work remains.
                 sh.pending.fetch_add(1, Ordering::AcqRel);
-                child_opt = Some(child);
+                child = Some(c);
             }
-            // Parent first, child last: the owner's next pop is the
-            // child — the sequential loop's depth-first order, which
-            // keeps the frontier (and the resident set) small.
-            if has_more {
-                sh.deques[widx].lock().expect("deque lock").push_back(node);
-            } else {
-                sh.store.release(node.handle);
-                sh.pending.fetch_sub(1, Ordering::AcqRel);
-            }
-            if let Some(c) = child_opt {
-                sh.deques[widx].lock().expect("deque lock").push_back(c);
-            }
-        } else if has_more {
-            sh.deques[widx].lock().expect("deque lock").push_back(node);
+        }
+        // The parent goes back on the deque and the child is the next
+        // pop — depth-first order, which keeps the frontier (and the
+        // resident set) small.
+        if has_more {
+            sh.push(widx, node);
         } else {
-            sh.store.release(node.handle);
+            store.release(node.handle);
             sh.pending.fetch_sub(1, Ordering::AcqRel);
         }
-        if ebuf.len() >= EVENT_FLUSH {
-            flush(&events, widx, &mut ebuf);
-        }
+        next = child;
     }
-    flush(&events, widx, &mut ebuf);
-    out.busy = t_loop
+    publish(&out.delta);
+    flush(&mut ebuf);
+    out.clock.busy = t_loop
         .elapsed()
-        .saturating_sub(out.idle)
-        .saturating_sub(out.steal);
+        .saturating_sub(out.clock.idle)
+        .saturating_sub(out.clock.steal);
     out
-}
-
-/// A clone of one burst-input node, taken before a post-eof burst
-/// starts so a witness abort can replay the burst sequentially.
-struct ReplaySeed {
-    state: MachineState,
-    cursors: Cursors,
-    tried: HashSet<usize>,
-    blocked: HashSet<usize>,
-    barren: usize,
-    path: Vec<String>,
-}
-
-/// Freeze one parallel node into its checkpoint form (materializing its
-/// snapshot out of the store).
-fn pnode_to_ckpt(store: &ShardedStore, n: &PNode) -> Result<MdfsNodeCkpt, SpillError> {
-    let state = store.materialize(n.handle)?;
-    let mut tried: Vec<usize> = n.tried.iter().copied().collect();
-    tried.sort_unstable();
-    let mut blocked: Vec<usize> = n.blocked.iter().copied().collect();
-    blocked.sort_unstable();
-    Ok(MdfsNodeCkpt {
-        state,
-        cursors: n.cursors.clone(),
-        tried,
-        blocked,
-        barren: n.barren,
-        path: n.path.clone(),
-    })
-}
-
-/// Freeze the multi-worker front: every worker's leftover deque and the
-/// nodes it parked in the stopped burst, plus the prior PG-list. A spill
-/// read failure makes the stop un-checkpointable (recorded as a fault).
-fn freeze_par(
-    store: &ShardedStore,
-    deques: &[Mutex<VecDeque<PNode>>],
-    parked: &[Vec<PNode>],
-    pg_list: &[PNode],
-    eof: bool,
-    spill_faults: &mut Vec<String>,
-) -> Option<MdfsCheckpoint> {
-    let fault = |e: SpillError, spill_faults: &mut Vec<String>| {
-        spill_faults.push(format!("checkpoint save skipped: {}", e));
-    };
-    let mut workers = Vec::with_capacity(deques.len());
-    for (i, dq) in deques.iter().enumerate() {
-        let dq = dq.lock().expect("deque lock");
-        let mut w = MdfsWorkerCkpt {
-            deque: Vec::with_capacity(dq.len()),
-            parked: Vec::with_capacity(parked[i].len()),
-        };
-        for n in dq.iter() {
-            match pnode_to_ckpt(store, n) {
-                Ok(c) => w.deque.push(c),
-                Err(e) => {
-                    fault(e, spill_faults);
-                    return None;
-                }
-            }
-        }
-        for n in &parked[i] {
-            match pnode_to_ckpt(store, n) {
-                Ok(c) => w.parked.push(c),
-                Err(e) => {
-                    fault(e, spill_faults);
-                    return None;
-                }
-            }
-        }
-        workers.push(w);
-    }
-    let mut pg_prior = Vec::with_capacity(pg_list.len());
-    for n in pg_list {
-        match pnode_to_ckpt(store, n) {
-            Ok(c) => pg_prior.push(c),
-            Err(e) => {
-                fault(e, spill_faults);
-                return None;
-            }
-        }
-    }
-    Some(MdfsCheckpoint {
-        workers_at_save: deques.len() as u32,
-        eof,
-        workers,
-        pg_prior,
-    })
-}
-
-/// Replay a witness-aborted post-eof burst sequentially, from clones of
-/// the burst's input nodes, resuming from the burst-start cumulative
-/// stats. Telemetry events are suppressed (phase one already streamed
-/// live) and the memory budget is skipped — the burst just ran inside
-/// it, and the replay stops at the first witness, which is exactly the
-/// witness (and counter total) the single-worker search reports.
-#[allow(clippy::too_many_arguments)]
-fn replay_burst(
-    machine: &Machine,
-    env: &mut TraceEnv,
-    options: &AnalysisOptions,
-    seeds: Vec<ReplaySeed>,
-    mut stats: SearchStats,
-    mut spec_errors: Vec<RuntimeError>,
-    source: &dyn TraceSource,
-    t0: Instant,
-    base_wall: Duration,
-    clocks: Vec<Clock>,
-    cap: u64,
-    deadline: Option<Instant>,
-    spill_faults: Vec<String>,
-    tel: &mut Telemetry,
-) -> Result<AnalysisReport, TangoError> {
-    let mut gen = estelle_runtime::Generated::default();
-    // Seeds arrive in sequential pop order; the stack pops from the end.
-    let mut work: Vec<Node> = seeds
-        .into_iter()
-        .rev()
-        .map(|s| Node::from_parts(s.state, s.cursors, s.tried, s.blocked, s.barren, s.path))
-        .collect();
-    let mut pg_list: Vec<Node> = Vec::new();
-
-    loop {
-        while let Some(mut node) = work.pop() {
-            if stats.transitions_executed > cap {
-                return Ok(finish(
-                    Verdict::Inconclusive(InconclusiveReason::TransitionLimit),
-                    None,
-                    stats,
-                    spec_errors,
-                    source,
-                    t0,
-                    base_wall,
-                    WorkerClocks::Par(clocks),
-                    cap,
-                    spill_faults,
-                    None,
-                    &env.trace,
-                    tel,
-                ));
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return Ok(finish(
-                    Verdict::Inconclusive(InconclusiveReason::TimeLimit),
-                    None,
-                    stats,
-                    spec_errors,
-                    source,
-                    t0,
-                    base_wall,
-                    WorkerClocks::Par(clocks),
-                    cap,
-                    spill_faults,
-                    None,
-                    &env.trace,
-                    tel,
-                ));
-            }
-            stats.max_depth = stats.max_depth.max(node.path.len());
-            env.restore(&node.cursors);
-            stats.restores += 1;
-            if env.all_done() {
-                // eof holds throughout: the sequential-first witness.
-                return Ok(finish(
-                    Verdict::Valid,
-                    Some(node.path),
-                    stats,
-                    spec_errors,
-                    source,
-                    t0,
-                    base_wall,
-                    WorkerClocks::Par(clocks),
-                    cap,
-                    spill_faults,
-                    None,
-                    &env.trace,
-                    tel,
-                ));
-            }
-            let mut st = copy_state(node.resident_state(), options);
-            stats.generates += 1;
-            match guard("generate", || machine.generate_into(&mut st, env, &mut gen)) {
-                Ok(()) => {}
-                Err(e) if is_fatal(&e) => return Err(TangoError::Runtime(e)),
-                Err(e) => {
-                    record_error(&mut spec_errors, &mut stats, e);
-                    continue;
-                }
-            };
-            let is_pg = gen.incomplete;
-            let untried: Vec<_> = gen
-                .fireable
-                .drain(..)
-                .filter(|f| !node.tried.contains(&f.trans) && !node.blocked.contains(&f.trans))
-                .collect();
-            if !untried.is_empty() {
-                stats.fanout_sum += untried.len() as u64;
-                stats.fanout_samples += 1;
-            }
-            let Some(f) = untried.first().cloned() else {
-                if is_pg || !node.blocked.is_empty() {
-                    if pg_list.len() >= options.limits.max_pg_nodes {
-                        return Ok(finish(
-                            Verdict::Inconclusive(InconclusiveReason::PgNodeLimit),
-                            None,
-                            stats,
-                            spec_errors,
-                            source,
-                            t0,
-                            base_wall,
-                            WorkerClocks::Par(clocks),
-                            cap,
-                            spill_faults,
-                            None,
-                            &env.trace,
-                            tel,
-                        ));
-                    }
-                    stats.pg_nodes += 1;
-                    pg_list.push(node);
-                }
-                continue;
-            };
-            node.tried.insert(f.trans);
-            let mut child_state = copy_state(node.resident_state(), options);
-            env.restore(&node.cursors);
-            let before = env.outstanding();
-            stats.transitions_executed += 1;
-            env.begin_fire();
-            let fired = match guard("fire", || machine.fire(&mut child_state, &f, env)) {
-                Ok(FireOutcome::Completed) => env.end_fire(),
-                Ok(FireOutcome::OutputRejected) => false,
-                Err(e) if is_fatal(&e) => return Err(TangoError::Runtime(e)),
-                Err(e) => {
-                    record_error(&mut spec_errors, &mut stats, e);
-                    false
-                }
-            };
-            if !fired && env.last_reject == Some(RejectReason::MayGrow) {
-                node.tried.remove(&f.trans);
-                node.blocked.insert(f.trans);
-            }
-            let has_more = untried.len() > 1 || is_pg || !node.blocked.is_empty();
-            if fired {
-                let child_barren = if env.outstanding() < before {
-                    0
-                } else {
-                    node.barren + 1
-                };
-                let mut child_path = node.path.clone();
-                child_path.push(machine.transition_name(f.trans).to_string());
-                if has_more {
-                    work.push(node);
-                }
-                if child_barren > options.limits.max_barren_steps {
-                    stats.barren_prunes += 1;
-                } else {
-                    stats.saves += 1;
-                    work.push(Node::new(child_state, env.save(), child_barren, child_path));
-                }
-            } else if has_more {
-                work.push(node);
-            }
-        }
-        // Post-eof parks are theoretically impossible, but mirror the
-        // sequential exhaustion logic defensively.
-        if pg_list.is_empty() {
-            return Ok(finish(
-                Verdict::Invalid,
-                None,
-                stats,
-                spec_errors,
-                source,
-                t0,
-                base_wall,
-                WorkerClocks::Par(clocks),
-                cap,
-                spill_faults,
-                None,
-                &env.trace,
-                tel,
-            ));
-        }
-        for n in pg_list.iter_mut() {
-            n.blocked.clear();
-        }
-        work.append(&mut pg_list);
-    }
 }
 
 /// Replay one worker's buffered telemetry batch through the real
@@ -1926,523 +1329,3 @@ fn tick_par(tel: &mut Telemetry, base: &SearchStats, sh: &BurstShared<'_>, cap: 
     s.snapshot_bytes = sh.store.resident_bytes();
     tel.tick(&s, cap);
 }
-
-/// The burst-barrier multi-worker MDFS loop (`workers = N ≥ 2`),
-/// optionally seeded from a checkpoint.
-#[allow(clippy::too_many_arguments)]
-fn run_par(
-    machine: &Machine,
-    module: &AnalyzedModule,
-    source: &mut dyn TraceSource,
-    options: &AnalysisOptions,
-    on_status: &mut dyn FnMut(&Verdict) -> bool,
-    tel: &mut Telemetry,
-    n_workers: usize,
-    seed: Option<MdfsSeed>,
-) -> Result<AnalysisReport, TangoError> {
-    let t0 = Instant::now();
-    let deadline = options.limits.max_wall_time.map(|d| t0 + d);
-    let cap = options.limits.max_transitions;
-    let machine = machine
-        .policy_view(options.policy)
-        .exec_view(options.exec_mode);
-    tel.set_workers(n_workers);
-
-    let (mut stats, base_wall, trace0, eof0, seed_front) = match seed {
-        Some(s) => {
-            let bw = s.stats.wall_time;
-            (s.stats, bw, s.trace, s.eof, Some((s.work, s.pg)))
-        }
-        None => (
-            SearchStats::default(),
-            Duration::ZERO,
-            ResolvedTrace::empty(module.ips.len()),
-            false,
-            None,
-        ),
-    };
-    let carry = CarryBase::of(&stats);
-    let mut spec_errors: Vec<RuntimeError> = Vec::new();
-
-    let mut env = TraceEnv::new(module, trace0, options, true)?;
-    env.eof = eof0;
-
-    // The sharded snapshot store: per-shard intern maps + (optionally)
-    // per-shard spill tiers, shared by every worker.
-    let store = match ShardedStore::build(options, deadline) {
-        Ok(s) => s,
-        Err(e) => {
-            return Ok(finish(
-                Verdict::Inconclusive(InconclusiveReason::SpillFailure),
-                None,
-                stats,
-                spec_errors,
-                &*source,
-                t0,
-                base_wall,
-                WorkerClocks::Par(vec![Clock::default(); n_workers]),
-                cap,
-                vec![e.to_string()],
-                None,
-                &env.trace,
-                tel,
-            ));
-        }
-    };
-    let mut spill_faults: Vec<String> = store.take_warnings();
-    let mut clocks: Vec<Clock> = vec![Clock::default(); n_workers];
-
-    let mut work: Vec<PNode> = Vec::new();
-    let mut pg_list: Vec<PNode> = Vec::new();
-
-    let pnode_from_ckpt = |c: MdfsNodeCkpt| -> PNode {
-        let (h, _) = store.save(c.state);
-        PNode {
-            handle: h,
-            cursors: c.cursors,
-            tried: c.tried.into_iter().collect(),
-            blocked: c.blocked.into_iter().collect(),
-            barren: c.barren,
-            path: c.path,
-            key: Vec::new(),
-            step: 0,
-        }
-    };
-    match seed_front {
-        None => {
-            let start = machine.initial_state()?;
-            stats.saves += 1;
-            let (h, _) = store.save(start);
-            if tel.hot() {
-                tel.on_save(0, h.state_bytes, false, store.resident_bytes());
-            }
-            work.push(PNode {
-                handle: h,
-                cursors: env.save(),
-                tried: HashSet::new(),
-                blocked: HashSet::new(),
-                barren: 0,
-                path: Vec::new(),
-                key: vec![0],
-                step: 0,
-            });
-        }
-        Some((wseeds, pseeds)) => {
-            work.extend(wseeds.into_iter().map(pnode_from_ckpt));
-            pg_list.extend(pseeds.into_iter().map(pnode_from_ckpt));
-        }
-    }
-    stamp_store(&mut stats, &carry, &store);
-
-    // Revive parked PG-nodes (see the sequential `revive`).
-    fn revive_p(work: &mut Vec<PNode>, pg_list: &mut Vec<PNode>, reorder: bool) {
-        for n in pg_list.iter_mut() {
-            n.blocked.clear();
-        }
-        if reorder {
-            work.append(pg_list);
-        } else {
-            let rest = std::mem::take(work);
-            work.append(pg_list);
-            work.extend(rest);
-        }
-    }
-
-    let mut last_status: Option<Verdict> = None;
-    let tel_hot = tel.hot();
-    let timed = tel.timer().is_some();
-
-    loop {
-        // Absorb anything the source produced (coordinator only).
-        let poll = source.poll();
-        let got_new = !poll.events.is_empty();
-        for e in &poll.events {
-            env.trace.push_event(e, module).map_err(TangoError::TraceResolve)?;
-        }
-        if poll.eof {
-            env.eof = true;
-        }
-        if got_new || poll.eof {
-            revive_p(&mut work, &mut pg_list, options.mdfs_reorder);
-        }
-
-        while !work.is_empty() {
-            // ---- one burst: trace frozen, N workers drain the tree ----
-            let mut inputs: Vec<PNode> = std::mem::take(&mut work);
-            inputs.reverse(); // sequential pop order
-
-            // Post-eof bursts may conclude Valid: clone the inputs now
-            // so a witness abort can replay the burst sequentially.
-            let mut replay_seeds: Option<Vec<ReplaySeed>> = None;
-            let mut burst_base: Option<(SearchStats, Vec<RuntimeError>)> = None;
-            if env.eof {
-                let mut seeds = Vec::with_capacity(inputs.len());
-                for n in &inputs {
-                    match store.materialize(n.handle) {
-                        Ok(state) => seeds.push(ReplaySeed {
-                            state,
-                            cursors: n.cursors.clone(),
-                            tried: n.tried.clone(),
-                            blocked: n.blocked.clone(),
-                            barren: n.barren,
-                            path: n.path.clone(),
-                        }),
-                        Err(e) => {
-                            spill_faults.push(e.to_string());
-                            stamp_store(&mut stats, &carry, &store);
-                            return Ok(finish(
-                                Verdict::Inconclusive(InconclusiveReason::SpillFailure),
-                                None,
-                                stats,
-                                spec_errors,
-                                &*source,
-                                t0,
-                                base_wall,
-                                WorkerClocks::Par(clocks),
-                                cap,
-                                spill_faults,
-                                None,
-                                &env.trace,
-                                tel,
-                            ));
-                        }
-                    }
-                }
-                replay_seeds = Some(seeds);
-                burst_base = Some((stats.clone(), spec_errors.clone()));
-            }
-
-            let n_inputs = inputs.len();
-            let sh = BurstShared {
-                deques: (0..n_workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-                pending: AtomicUsize::new(n_inputs),
-                stop: Mutex::new(None),
-                stopped: AtomicBool::new(false),
-                te: AtomicU64::new(stats.transitions_executed),
-                ge: AtomicU64::new(stats.generates),
-                re: AtomicU64::new(stats.restores),
-                sa: AtomicU64::new(stats.saves),
-                pg: AtomicU64::new(pg_list.len() as u64),
-                depth: AtomicUsize::new(stats.max_depth),
-                store: &store,
-            };
-            // Re-seed the park keys: input i (in sequential pop order)
-            // gets key [i]. Distributed round-robin; pushed in reverse
-            // so each owner pops its earliest input first.
-            for (j, mut n) in inputs.into_iter().rev().enumerate() {
-                let i = n_inputs - 1 - j;
-                n.key.clear();
-                n.key.push(i as u32);
-                n.step = 0;
-                sh.deques[i % n_workers]
-                    .lock()
-                    .expect("deque lock")
-                    .push_back(n);
-            }
-
-            // Each worker gets its own cursor view over the frozen trace.
-            let mut envs = Vec::with_capacity(n_workers);
-            for _ in 0..n_workers {
-                let mut e2 = TraceEnv::new(module, env.trace.clone(), options, true)?;
-                e2.eof = env.eof;
-                envs.push(e2);
-            }
-
-            let (txo, rxo) = if tel_hot {
-                let (tx, rx) = mpsc::channel();
-                (Some(tx), Some(rx))
-            } else {
-                (None, None)
-            };
-
-            let outs: Vec<WorkerOut> = std::thread::scope(|s| {
-                let shr = &sh;
-                let mref = &machine;
-                let mut handles = Vec::with_capacity(n_workers);
-                for (i, wenv) in envs.into_iter().enumerate() {
-                    let tx = txo.clone();
-                    handles.push(s.spawn(move || {
-                        // Spec-level panics are already contained per
-                        // step (`search::guard`); this backstop covers
-                        // infrastructure panics, which would otherwise
-                        // leave `pending` forever non-zero and spin the
-                        // surviving workers. Flag the stop, then let the
-                        // coordinator's join re-raise the panic.
-                        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            burst_worker(i, mref, wenv, options, deadline, shr, tx, timed)
-                        }));
-                        match r {
-                            Ok(o) => o,
-                            Err(p) => {
-                                shr.stopped.store(true, Ordering::Release);
-                                std::panic::resume_unwind(p)
-                            }
-                        }
-                    }));
-                }
-                drop(txo);
-                match rxo {
-                    Some(rx) => loop {
-                        match rx.recv_timeout(Duration::from_millis(25)) {
-                            Ok((w, batch)) => replay_events(tel, &machine, w, batch),
-                            Err(mpsc::RecvTimeoutError::Timeout) => {
-                                tick_par(tel, &stats, &sh, cap)
-                            }
-                            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                        }
-                    },
-                    None => {
-                        while handles.iter().any(|h| !h.is_finished()) {
-                            std::thread::sleep(Duration::from_millis(25));
-                            tick_par(tel, &stats, &sh, cap);
-                        }
-                    }
-                }
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(o) => o,
-                        Err(p) => std::panic::resume_unwind(p),
-                    })
-                    .collect()
-            });
-            tel.set_worker(0);
-
-            let stop = sh.stop.lock().expect("stop lock").take();
-            match stop {
-                None => {
-                    // Exhausted: the greedy per-worker deltas are exact.
-                    let mut all_parked: Vec<(Vec<u32>, PNode)> = Vec::new();
-                    for (i, o) in outs.into_iter().enumerate() {
-                        clocks[i].busy += o.busy;
-                        clocks[i].idle += o.idle;
-                        clocks[i].steal += o.steal;
-                        stats.absorb(&o.delta);
-                        spec_errors.extend(o.spec_errors);
-                        spill_faults.extend(o.spill_faults);
-                        all_parked.extend(o.parked);
-                    }
-                    spec_errors.truncate(MAX_RECORDED_ERRORS);
-                    // Deterministic park order (see `PNode::key`).
-                    all_parked.sort_by(|a, b| a.0.cmp(&b.0));
-                    pg_list.extend(all_parked.into_iter().map(|(_, n)| n));
-                    stamp_store(&mut stats, &carry, &store);
-                }
-                Some(StopCause::Fatal(e)) => return Err(TangoError::Runtime(e)),
-                Some(StopCause::Witness) => {
-                    // Discard the burst's deltas; keep the honest clocks.
-                    for (i, o) in outs.into_iter().enumerate() {
-                        clocks[i].busy += o.busy;
-                        clocks[i].idle += o.idle;
-                        clocks[i].steal += o.steal;
-                    }
-                    let (mut bstats, berrors) =
-                        burst_base.expect("witness stops only happen post-eof");
-                    stamp_store(&mut bstats, &carry, &store);
-                    let seeds = replay_seeds.expect("witness stops only happen post-eof");
-                    return replay_burst(
-                        &machine,
-                        &mut env,
-                        options,
-                        seeds,
-                        bstats,
-                        berrors,
-                        &*source,
-                        t0,
-                        base_wall,
-                        clocks,
-                        cap,
-                        deadline,
-                        spill_faults,
-                        tel,
-                    );
-                }
-                Some(StopCause::Limit(reason)) => {
-                    // Completed steps are exact (tiling); freeze the rest.
-                    let mut parked_by_worker: Vec<Vec<PNode>> = Vec::with_capacity(n_workers);
-                    for (i, o) in outs.into_iter().enumerate() {
-                        clocks[i].busy += o.busy;
-                        clocks[i].idle += o.idle;
-                        clocks[i].steal += o.steal;
-                        stats.absorb(&o.delta);
-                        spec_errors.extend(o.spec_errors);
-                        spill_faults.extend(o.spill_faults);
-                        parked_by_worker.push(o.parked.into_iter().map(|(_, n)| n).collect());
-                    }
-                    spec_errors.truncate(MAX_RECORDED_ERRORS);
-                    let ckpt = if matches!(reason, InconclusiveReason::SpillFailure) {
-                        if let Some(f) = store.take_fault() {
-                            spill_faults.push(f.to_string());
-                        }
-                        None
-                    } else {
-                        freeze_par(
-                            &store,
-                            &sh.deques,
-                            &parked_by_worker,
-                            &pg_list,
-                            env.eof,
-                            &mut spill_faults,
-                        )
-                    };
-                    stamp_store(&mut stats, &carry, &store);
-                    return Ok(finish(
-                        Verdict::Inconclusive(reason),
-                        None,
-                        stats,
-                        spec_errors,
-                        &*source,
-                        t0,
-                        base_wall,
-                        WorkerClocks::Par(clocks),
-                        cap,
-                        spill_faults,
-                        ckpt,
-                        &env.trace,
-                        tel,
-                    ));
-                }
-            }
-        }
-
-        // The tree (as currently known) is exhausted.
-        if env.eof {
-            if pg_list.is_empty() {
-                return Ok(finish(
-                    Verdict::Invalid,
-                    None,
-                    stats,
-                    spec_errors,
-                    &*source,
-                    t0,
-                    base_wall,
-                    WorkerClocks::Par(clocks),
-                    cap,
-                    spill_faults,
-                    None,
-                    &env.trace,
-                    tel,
-                ));
-            }
-            revive_p(&mut work, &mut pg_list, options.mdfs_reorder);
-            continue;
-        }
-        if pg_list.is_empty() {
-            return Ok(finish(
-                Verdict::Invalid,
-                None,
-                stats,
-                spec_errors,
-                &*source,
-                t0,
-                base_wall,
-                WorkerClocks::Par(clocks),
-                cap,
-                spill_faults,
-                None,
-                &env.trace,
-                tel,
-            ));
-        }
-
-        // Interim verdict: PGAV ⇒ valid so far, else likely invalid.
-        let any_av = pg_list.iter().any(|n| {
-            env.restore(&n.cursors);
-            env.all_done()
-        });
-        let status = if any_av {
-            Verdict::ValidSoFar
-        } else {
-            Verdict::LikelyInvalid
-        };
-        if last_status.as_ref() != Some(&status) {
-            tel.on_interim_verdict(&status);
-            last_status = Some(status.clone());
-        }
-        if !on_status(&status) {
-            return Ok(finish(
-                status,
-                None,
-                stats,
-                spec_errors,
-                &*source,
-                t0,
-                base_wall,
-                WorkerClocks::Par(clocks),
-                cap,
-                spill_faults,
-                None,
-                &env.trace,
-                tel,
-            ));
-        }
-
-        // Idle-poll between bursts (coordinator only; workers are gone).
-        let mut idle = Backoff::new(RetryPolicy::mdfs_poll());
-        loop {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                let ckpt = {
-                    let mut pg_prior = Vec::with_capacity(pg_list.len());
-                    let mut ok = true;
-                    for n in &pg_list {
-                        match pnode_to_ckpt(&store, n) {
-                            Ok(c) => pg_prior.push(c),
-                            Err(e) => {
-                                spill_faults.push(format!("checkpoint save skipped: {}", e));
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    ok.then(|| MdfsCheckpoint {
-                        workers_at_save: n_workers as u32,
-                        eof: env.eof,
-                        workers: (0..n_workers)
-                            .map(|_| MdfsWorkerCkpt {
-                                deque: Vec::new(),
-                                parked: Vec::new(),
-                            })
-                            .collect(),
-                        pg_prior,
-                    })
-                };
-                return Ok(finish(
-                    Verdict::Inconclusive(InconclusiveReason::TimeLimit),
-                    None,
-                    stats,
-                    spec_errors,
-                    &*source,
-                    t0,
-                    base_wall,
-                    WorkerClocks::Par(clocks),
-                    cap,
-                    spill_faults,
-                    ckpt,
-                    &env.trace,
-                    tel,
-                ));
-            }
-            let p = source.poll();
-            if !p.events.is_empty() || p.eof {
-                for e in &p.events {
-                    env.trace.push_event(e, module).map_err(TangoError::TraceResolve)?;
-                }
-                if p.eof {
-                    env.eof = true;
-                }
-                revive_p(&mut work, &mut pg_list, options.mdfs_reorder);
-                break;
-            }
-            let idle_sleep = idle.next_delay();
-            let sleep = match deadline {
-                Some(d) => idle_sleep.min(d.saturating_duration_since(Instant::now())),
-                None => idle_sleep,
-            };
-            std::thread::sleep(sleep);
-        }
-    }
-}
-
-
-
-

@@ -5,7 +5,10 @@
 //!   budget) and stop/resume checkpointing;
 //! * [`mdfs`] — the multi-threaded depth-first search of §3.1 for
 //!   on-line (dynamic) trace analysis, with PG-nodes, PGAV detection and
-//!   dynamic node reordering, under the same governance.
+//!   dynamic node reordering, under the same governance, run by one or
+//!   more work-stealing workers;
+//! * `store` — the snapshot store both searches save into, with its
+//!   optional [`spill`] tier.
 //!
 //! Both searches execute untrusted compiled specifications, so every
 //! interpreter step runs inside [`guard`]: a panic that unwinds out of
@@ -14,7 +17,6 @@
 
 pub mod dfs;
 pub mod mdfs;
-pub(crate) mod snapshot;
 pub mod spill;
 pub(crate) mod store;
 

@@ -961,46 +961,27 @@ impl SpillOptions {
             }
     }
 
-    /// Build the tier these options describe (when enabled). The
-    /// `Err` case — an unusable spill directory — is the earliest
+    /// Build the tier these options describe (when enabled), rooted at
+    /// the spill directory or, with `subdir`, at `<dir>/<subdir>` — one
+    /// independent tier per snapshot-store shard, so shard evictions
+    /// never contend on a shared segment writer (each shard tier gets
+    /// its own fault-injection sequence from the same plan). The `Err`
+    /// case — an unusable spill directory — is the earliest
     /// `Inconclusive(SpillFailure)` degradation point.
     pub(crate) fn build_tier(
         &self,
         max_state_bytes: Option<usize>,
+        subdir: Option<&str>,
     ) -> Result<Option<SpillTier>, SpillError> {
         if !self.enabled(max_state_bytes) {
             return Ok(None);
         }
-        let root = self.dir.clone().unwrap_or_else(|| {
+        let mut root = self.dir.clone().unwrap_or_else(|| {
             std::env::temp_dir().join(format!("tango-spill-{}", std::process::id()))
         });
-        let fs_dir: Box<dyn SpillDir> = Box::new(FsSpillDir::new(root));
-        let dir: Box<dyn SpillDir> = match self.fault_plan {
-            Some(plan) => Box::new(FaultySpillDir::new(fs_dir, plan)),
-            None => fs_dir,
-        };
-        SpillTier::open(dir, self.max_segment_bytes, self.retries).map(Some)
-    }
-
-    /// [`SpillOptions::build_tier`] rooted at `<dir>/<subdir>` — one
-    /// independent tier per snapshot-store shard, so shard evictions
-    /// never contend on a shared segment writer. Each shard tier gets
-    /// its own fault-injection sequence from the same plan.
-    pub(crate) fn build_tier_at(
-        &self,
-        max_state_bytes: Option<usize>,
-        subdir: &str,
-    ) -> Result<Option<SpillTier>, SpillError> {
-        if !self.enabled(max_state_bytes) {
-            return Ok(None);
+        if let Some(sub) = subdir {
+            root = root.join(sub);
         }
-        let root = self
-            .dir
-            .clone()
-            .unwrap_or_else(|| {
-                std::env::temp_dir().join(format!("tango-spill-{}", std::process::id()))
-            })
-            .join(subdir);
         let fs_dir: Box<dyn SpillDir> = Box::new(FsSpillDir::new(root));
         let dir: Box<dyn SpillDir> = match self.fault_plan {
             Some(plan) => Box::new(FaultySpillDir::new(fs_dir, plan)),

@@ -1,51 +1,81 @@
-//! Sharded, thread-safe snapshot store for the multi-worker MDFS.
+//! The snapshot store: every saved search state of both searches — the
+//! static DFS's backtracking frames and the MDFS's work and PG nodes —
+//! lives here, behind plain `Copy` handles.
 //!
-//! The single-threaded searches intern snapshots through
-//! [`super::snapshot::SnapshotStore`], whose one intern map and one LRU
-//! are owned by the search loop. N true workers saving and restoring
-//! concurrently would funnel every operation through one lock, so this
-//! store shards by the **high bits of the pre-mixed FxHasher content
-//! key**: 16 shards, each its own mutex guarding its own slot slab,
-//! intern chains, LRU clock queue and spill tier (rooted at
-//! `shard{i:02}/` under the spill directory). Two workers touching
-//! states that hash to different shards never contend.
+//! The paper's §3.2 names *Save*/*Restore* as the dominant analysis
+//! cost. A save moves a copy-on-write [`MachineState::snapshot`] into
+//! the store (O(globals + chunk table); heap chunks are shared with the
+//! live state and deep-copied lazily on first write), a restore copies
+//! it back out the same way, and the last reference *takes* the state
+//! without any copy.
+//!
+//! The store shards its slots to keep N MDFS workers off one lock: each
+//! shard is its own mutex guarding its own slot slab, intern chains,
+//! LRU clock queue and spill tier. One thread searching gets one shard
+//! (and its spill segments sit at the spill-directory root); N workers
+//! get [`SHARD_COUNT`] shards (segments under `shard{i:02}/`).
+//!
+//! Memory pressure changes the save path. Without a byte budget and a
+//! spill tier nothing can ever be evicted, so a save skips hashing,
+//! interning and the LRU entirely. Under a budget each save is keyed by
+//! a fast content hash of (control state, globals, heap) — trace
+//! cursors excluded — and the shard is the key's top bits; an identical
+//! resident snapshot is *interned* (one slot, one charge) instead of
+//! stored twice.
 //!
 //! Residency accounting is atomic and global: the `resident`/`spilled`
 //! byte gauges and their high-water marks are plain atomics updated
 //! under the owning shard's lock, readable lock-free from any worker
 //! (the memory-budget check) and from the coordinator (heartbeats).
 //!
-//! Eviction under a budget stays **globally coldest-first**: every
+//! Eviction under a budget is **globally coldest-first**: every
 //! resident slot carries a stamp from one shared logical clock; the
 //! evictor peeks each shard's LRU front and evicts the minimum stamp,
 //! so the per-shard split does not change *what* gets evicted, only
 //! which lock the eviction takes. Re-evicting a slot whose snapshot is
-//! already on disk is write-free (the segment record is immutable) —
-//! the same contract the PR 6 tier gives the single-threaded stores —
-//! and a write failure poisons the store instead of returning an error
+//! already on disk is write-free (the segment record is immutable), and
+//! a write failure poisons the store instead of returning an error
 //! mid-save: the snapshot stays resident, eviction stops, and the
 //! search degrades to `Inconclusive(SpillFailure)` at its next
-//! governance check, exactly like the single-threaded store.
+//! governance check.
 
-use super::snapshot::{state_key, FxBuildHasher};
 use super::spill::{SpillCounters, SpillError, SpillTicket, SpillTier};
 use crate::options::AnalysisOptions;
-use estelle_runtime::MachineState;
+use crate::stats::SearchStats;
+use estelle_runtime::{FxHasher, MachineState};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Shard count. A power of two so the shard index is a shift of the
-/// pre-mixed key's top bits; 16 is comfortably above any worker count
-/// the search spawns while keeping the fixed footprint trivial.
-pub(crate) const SHARD_COUNT: usize = 16;
+/// Hasher for the intern map and the DFS visited set. Their keys are
+/// already well-mixed 64-bit content hashes; re-hashing them with
+/// SipHash would cost more than the map operation itself.
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
-const SHARD_SHIFT: u32 = 64 - 4; // log2(SHARD_COUNT) top bits
+/// Content hash of a machine state (control + globals + heap) — the
+/// interning and spill-record key. The heap side feeds the hasher from
+/// cached per-chunk digests, so hashing is O(chunks), not O(cells).
+fn state_key(state: &MachineState) -> u64 {
+    let mut h = FxHasher::default();
+    state.control.hash(&mut h);
+    state.globals.hash(&mut h);
+    state.heap.hash(&mut h);
+    h.finish()
+}
+
+/// Shard count with more than one searching thread. A power of two so
+/// the shard index is a mask of the pre-mixed key's top bits; 16 is
+/// comfortably above any worker count the search spawns while keeping
+/// the fixed footprint trivial.
+const SHARD_COUNT: usize = 16;
+
+/// The key's top 4 bits pick among [`SHARD_COUNT`] shards.
+const SHARD_SHIFT: u32 = 64 - 4;
 
 /// Reference to one stored snapshot. Plain `Send + Sync` data — nodes
-/// carry handles across worker threads; the states themselves stay in
-/// the store.
+/// carry handles across worker threads; the states stay in the store.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct StoreHandle {
     shard: u8,
@@ -57,7 +87,8 @@ pub(crate) struct StoreHandle {
 }
 
 struct SlotEntry {
-    /// FxHasher content key (also the spill record key).
+    /// Content key (also the spill record key); the save stamp on the
+    /// pressure-free path, where nothing is hashed.
     key: u64,
     /// Resident snapshot; `None` while evicted to the shard's tier.
     state: Option<MachineState>,
@@ -75,7 +106,7 @@ struct SlotEntry {
 struct Shard {
     slots: Vec<Option<SlotEntry>>,
     free: Vec<u32>,
-    /// Content-key intern chains (COW dedup): key → slot indices.
+    /// Content-key intern chains: key → slot indices.
     interned: HashMap<u64, Vec<u32>, FxBuildHasher>,
     /// Cold-first eviction queue of `(slot, stamp)`.
     lru: VecDeque<(u32, u64)>,
@@ -105,6 +136,55 @@ impl Shard {
             .expect("live handle references a live slot")
     }
 
+    fn insert(&mut self, entry: SlotEntry) -> u32 {
+        match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = Some(entry);
+                i
+            }
+            None => {
+                self.slots.push(Some(entry));
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Free a slot whose last reference went, unlinking it from its
+    /// intern chain.
+    fn remove(&mut self, idx: u32) -> SlotEntry {
+        let entry = self.slots[idx as usize]
+            .take()
+            .expect("live handle references a live slot");
+        self.free.push(idx);
+        if let Some(chain) = self.interned.get_mut(&entry.key) {
+            chain.retain(|&i| i != idx);
+            if chain.is_empty() {
+                self.interned.remove(&entry.key);
+            }
+        }
+        entry
+    }
+
+    /// Fault the slot's snapshot back in from the shard tier if it is
+    /// currently evicted; returns whether a fault-in happened (the
+    /// caller settles the gauges before dropping the lock).
+    fn fault_in(&mut self, idx: u32) -> Result<bool, SpillError> {
+        if self.slot(idx).state.is_some() {
+            return Ok(false);
+        }
+        let ticket = self
+            .slot(idx)
+            .ticket
+            .expect("an evicted slot always holds a spill ticket");
+        let tier = self
+            .tier
+            .as_mut()
+            .expect("evicted slots only exist with a spill tier");
+        let state = tier.read_state(&ticket)?;
+        self.slot_mut(idx).state = Some(state);
+        Ok(true)
+    }
+
     /// Front-of-LRU stamp after discarding stale entries, i.e. the
     /// coldness of this shard's coldest *resident* slot.
     fn coldest(&mut self) -> Option<u64> {
@@ -121,18 +201,18 @@ impl Shard {
     }
 }
 
-/// The sharded snapshot store. All methods take `&self`; internal
-/// per-shard mutexes plus atomics make it `Sync`.
+/// The sharded snapshot store. All methods take `&self`; per-shard
+/// mutexes plus atomics make it `Sync`.
 pub(crate) struct ShardedStore {
     shards: Vec<Mutex<Shard>>,
-    cow: bool,
+    /// `shards.len() - 1`: the shard index is `bits & mask`.
+    mask: usize,
     budget: Option<usize>,
     spill_enabled: bool,
     /// No budget and no tier ⇒ memory pressure is impossible: slots can
     /// never be evicted, so the content hash, the intern chains and the
     /// LRU queue buy nothing. This flag selects a plain slot-slab path
-    /// that skips all three — the same per-save cost profile as the
-    /// sequential engine, which holds states in its nodes uninterned.
+    /// that skips all three.
     fast: bool,
     resident: AtomicUsize,
     spilled: AtomicUsize,
@@ -141,25 +221,29 @@ pub(crate) struct ShardedStore {
     intern_hits: AtomicU64,
     clock: AtomicU64,
     /// Set on the first unrecoverable spill write fault; checked
-    /// lock-free by workers at their governance point.
+    /// lock-free by the searches at their governance point.
     poisoned: AtomicBool,
     fault: Mutex<Option<SpillError>>,
 }
 
 impl ShardedStore {
-    /// Build the store from the run's options. An unusable spill
-    /// directory is reported as the earliest degradation point, exactly
-    /// like [`super::spill::SpillOptions::build_tier`].
+    /// Build the store for a search run by `threads` threads: one shard
+    /// for one thread, [`SHARD_COUNT`] otherwise. An unusable spill
+    /// directory is reported as the earliest degradation point.
     pub(crate) fn build(
         options: &AnalysisOptions,
         deadline: Option<Instant>,
+        threads: usize,
     ) -> Result<Self, SpillError> {
-        let mut shards = Vec::with_capacity(SHARD_COUNT);
+        let count = if threads > 1 { SHARD_COUNT } else { 1 };
+        let budget = options.limits.max_state_bytes;
+        let mut shards = Vec::with_capacity(count);
         let mut spill_enabled = false;
-        for i in 0..SHARD_COUNT {
+        for i in 0..count {
+            let subdir = (count > 1).then(|| format!("shard{:02}", i));
             let tier = options
                 .spill
-                .build_tier_at(options.limits.max_state_bytes, &format!("shard{:02}", i))?
+                .build_tier(budget, subdir.as_deref())?
                 .map(|mut t| {
                     if let Some(d) = deadline {
                         t.set_deadline(d);
@@ -171,10 +255,10 @@ impl ShardedStore {
         }
         Ok(ShardedStore {
             shards,
-            cow: options.cow_snapshots,
-            budget: options.limits.max_state_bytes,
+            mask: count - 1,
+            budget,
             spill_enabled,
-            fast: options.limits.max_state_bytes.is_none() && !spill_enabled,
+            fast: budget.is_none() && !spill_enabled,
             resident: AtomicUsize::new(0),
             spilled: AtomicUsize::new(0),
             peak_resident: AtomicUsize::new(0),
@@ -196,29 +280,46 @@ impl ShardedStore {
     }
 
     fn charge_resident(&self, bytes: usize) {
-        let now = self.resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.peak_resident.fetch_max(now, Ordering::Relaxed);
+        self.resident.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Save a snapshot; returns its handle and whether it was interned
-    /// into an already-resident identical slot (COW mode only — deep
-    /// mode never dedups, matching the single-threaded stores; spilled
-    /// candidates never match, so a dedup check costs no disk read).
-    pub(crate) fn save(&self, state: MachineState) -> (StoreHandle, bool) {
-        if self.fast {
-            return self.save_fast(state);
+    /// After an operation that brought bytes into RAM: evict back under
+    /// the budget (with a spill tier), then note the residency
+    /// high-water mark — so the peak is what stays resident, not the
+    /// instant before eviction.
+    fn settle(&self) {
+        if let Some(budget) = self.budget {
+            self.evict_until(budget);
         }
-        let key = state_key(&state);
-        let shard_idx = (key >> SHARD_SHIFT) as usize & (SHARD_COUNT - 1);
+        let now = self.resident.load(Ordering::Relaxed);
+        if now > self.peak_resident.load(Ordering::Relaxed) {
+            self.peak_resident.fetch_max(now, Ordering::Relaxed);
+        }
+    }
+
+    fn lock(&self, shard: usize) -> std::sync::MutexGuard<'_, Shard> {
+        self.shards[shard].lock().expect("store shard lock")
+    }
+
+    /// *Save* a snapshot; returns its handle and whether it was interned
+    /// into an already-resident identical slot. Only the pressure path
+    /// interns; spilled candidates never match, so a dedup check costs
+    /// no disk read.
+    pub(crate) fn save(&self, state: MachineState) -> (StoreHandle, bool) {
         let stamp = self.tick();
-        let mut shard = self.shards[shard_idx].lock().expect("store shard lock");
-        if self.cow {
+        let (key, shard_idx) = if self.fast {
+            // Shards round-robin off the clock so concurrent workers
+            // still spread across locks.
+            (stamp, stamp as usize & self.mask)
+        } else {
+            let key = state_key(&state);
+            (key, (key >> SHARD_SHIFT) as usize & self.mask)
+        };
+        let mut shard = self.lock(shard_idx);
+        if !self.fast {
             let hit = shard.interned.get(&key).and_then(|chain| {
                 chain.iter().copied().find(|&idx| {
-                    shard.slots[idx as usize]
-                        .as_ref()
-                        .and_then(|s| s.state.as_ref())
-                        .is_some_and(|st| *st == state)
+                    shard.slot(idx).state.as_ref().is_some_and(|st| *st == state)
                 })
             });
             if let Some(idx) = hit {
@@ -228,195 +329,122 @@ impl ShardedStore {
                 let bytes = entry.bytes;
                 shard.lru.push_back((idx, stamp));
                 self.intern_hits.fetch_add(1, Ordering::Relaxed);
-                return (
-                    StoreHandle {
-                        shard: shard_idx as u8,
-                        slot: idx,
-                        state_bytes: bytes,
-                    },
-                    true,
-                );
+                let h = StoreHandle {
+                    shard: shard_idx as u8,
+                    slot: idx,
+                    state_bytes: bytes,
+                };
+                return (h, true);
             }
         }
         let bytes = state.approx_bytes();
-        let entry = SlotEntry {
+        let idx = shard.insert(SlotEntry {
             key,
             state: Some(state),
             ticket: None,
             bytes,
             refs: 1,
             stamp,
-        };
-        let idx = match shard.free.pop() {
-            Some(i) => {
-                shard.slots[i as usize] = Some(entry);
-                i
-            }
-            None => {
-                shard.slots.push(Some(entry));
-                (shard.slots.len() - 1) as u32
-            }
-        };
-        if self.cow {
+        });
+        if !self.fast {
             shard.interned.entry(key).or_default().push(idx);
+            shard.lru.push_back((idx, stamp));
         }
-        shard.lru.push_back((idx, stamp));
         // Settle the gauge before releasing the shard lock: the evictor
         // can see this slot the moment the lock drops, and its uncharge
         // must never land before our charge (the gauges are unsigned).
         self.charge_resident(bytes);
         drop(shard);
-        (
-            StoreHandle {
-                shard: shard_idx as u8,
-                slot: idx,
-                state_bytes: bytes,
-            },
-            false,
-        )
-    }
-
-    /// Pressure-free save: no content hash, no intern chain, no LRU
-    /// entry. Shards are picked round-robin off the logical clock so
-    /// concurrent workers still spread across locks.
-    fn save_fast(&self, state: MachineState) -> (StoreHandle, bool) {
-        let stamp = self.tick();
-        let shard_idx = stamp as usize & (SHARD_COUNT - 1);
-        let bytes = state.approx_bytes();
-        let entry = SlotEntry {
-            key: stamp,
-            state: Some(state),
-            ticket: None,
-            bytes,
-            refs: 1,
-            stamp,
+        self.settle();
+        let h = StoreHandle {
+            shard: shard_idx as u8,
+            slot: idx,
+            state_bytes: bytes,
         };
-        let mut shard = self.shards[shard_idx].lock().expect("store shard lock");
-        let idx = match shard.free.pop() {
-            Some(i) => {
-                shard.slots[i as usize] = Some(entry);
-                i
-            }
-            None => {
-                shard.slots.push(Some(entry));
-                (shard.slots.len() - 1) as u32
-            }
-        };
-        self.charge_resident(bytes);
-        drop(shard);
-        (
-            StoreHandle {
-                shard: shard_idx as u8,
-                slot: idx,
-                state_bytes: bytes,
-            },
-            false,
-        )
+        (h, false)
     }
 
-    /// Fault the slot's snapshot back in from its shard tier if it is
-    /// currently evicted. Call with the shard lock held; returns
-    /// whether a fault-in happened (the caller settles the gauges
-    /// before dropping the lock).
-    fn fault_in(shard: &mut Shard, slot: u32) -> Result<bool, SpillError> {
-        if shard.slot(slot).state.is_some() {
-            return Ok(false);
-        }
-        let ticket = shard
-            .slot(slot)
-            .ticket
-            .expect("an evicted slot always holds a spill ticket");
-        let tier = shard
-            .tier
-            .as_mut()
-            .expect("evicted slots only exist with a spill tier");
-        let state = tier.read_state(&ticket)?;
-        shard.slot_mut(slot).state = Some(state);
-        Ok(true)
-    }
-
-    fn settle_fault_in(&self, bytes: usize) {
-        self.charge_resident(bytes);
-        self.spilled.fetch_sub(bytes, Ordering::Relaxed);
-    }
-
-    /// A copy of the stored snapshot for expansion, faulting it back in
-    /// from the shard's spill tier first when evicted. COW mode copies
-    /// O(chunk table); deep mode reproduces the eager-clone cost.
+    /// *Restore* a copy of the stored snapshot without consuming the
+    /// handle, faulting it back in from the shard's tier first when
+    /// evicted. The copy is COW: O(globals + chunk table).
     pub(crate) fn materialize(&self, h: StoreHandle) -> Result<MachineState, SpillError> {
+        let mut shard = self.lock(h.shard as usize);
         if self.fast {
-            let shard = self.shards[h.shard as usize].lock().expect("store shard lock");
-            let st = shard
-                .slot(h.slot)
-                .state
-                .as_ref()
-                .expect("fast-path slots are always resident");
-            return Ok(if self.cow { st.snapshot() } else { st.deep_snapshot() });
+            let st = shard.slot(h.slot).state.as_ref();
+            return Ok(st.expect("fast-path slots are always resident").snapshot());
         }
+        let faulted = shard.fault_in(h.slot)?;
         let stamp = self.tick();
-        let mut shard = self.shards[h.shard as usize].lock().expect("store shard lock");
-        let faulted = Self::fault_in(&mut shard, h.slot)?;
         let entry = shard.slot_mut(h.slot);
         entry.stamp = stamp;
         let bytes = entry.bytes;
-        let copy = {
-            let st = entry.state.as_ref().expect("faulted in above");
-            if self.cow {
-                st.snapshot()
-            } else {
-                st.deep_snapshot()
-            }
-        };
+        let copy = entry.state.as_ref().expect("faulted in above").snapshot();
         shard.lru.push_back((h.slot, stamp));
         if faulted {
-            self.settle_fault_in(bytes);
+            self.charge_resident(bytes);
+            self.spilled.fetch_sub(bytes, Ordering::Relaxed);
         }
         drop(shard);
+        if faulted {
+            self.settle();
+        }
         Ok(copy)
+    }
+
+    /// *Restore* consuming the handle: with the last reference the
+    /// state moves out without any copy (a spilled one is read straight
+    /// from its segment); a slot other handles still share is copied.
+    pub(crate) fn take(&self, h: StoreHandle) -> Result<MachineState, SpillError> {
+        let mut shard = self.lock(h.shard as usize);
+        if shard.slot(h.slot).refs > 1 {
+            drop(shard);
+            let copy = self.materialize(h);
+            self.release(h);
+            return copy;
+        }
+        let entry = shard.remove(h.slot);
+        match entry.state {
+            Some(state) => {
+                self.resident.fetch_sub(entry.bytes, Ordering::Relaxed);
+                Ok(state)
+            }
+            None => {
+                self.spilled.fetch_sub(entry.bytes, Ordering::Relaxed);
+                let ticket = entry.ticket.expect("an evicted slot holds a ticket");
+                let tier = shard.tier.as_mut().expect("evicted slots imply a tier");
+                tier.read_state(&ticket)
+            }
+        }
+    }
+
+    /// Add one reference to a stored snapshot (a second handle).
+    pub(crate) fn retain(&self, h: StoreHandle) {
+        self.lock(h.shard as usize).slot_mut(h.slot).refs += 1;
     }
 
     /// Drop one reference; the slot (and its bytes, wherever they
     /// live) is freed with the last reference.
     pub(crate) fn release(&self, h: StoreHandle) {
-        let mut shard = self.shards[h.shard as usize].lock().expect("store shard lock");
+        let mut shard = self.lock(h.shard as usize);
         let entry = shard.slot_mut(h.slot);
         entry.refs -= 1;
         if entry.refs > 0 {
             return;
         }
-        let was_resident = entry.state.is_some();
-        let key = entry.key;
-        let bytes = entry.bytes;
-        shard.slots[h.slot as usize] = None;
-        shard.free.push(h.slot);
-        if self.cow && !self.fast {
-            if let Some(chain) = shard.interned.get_mut(&key) {
-                chain.retain(|&i| i != h.slot);
-                if chain.is_empty() {
-                    shard.interned.remove(&key);
-                }
-            }
-        }
-        if was_resident {
-            self.resident.fetch_sub(bytes, Ordering::Relaxed);
+        let entry = shard.remove(h.slot);
+        if entry.state.is_some() {
+            self.resident.fetch_sub(entry.bytes, Ordering::Relaxed);
         } else {
-            self.spilled.fetch_sub(bytes, Ordering::Relaxed);
+            self.spilled.fetch_sub(entry.bytes, Ordering::Relaxed);
         }
-        drop(shard);
     }
 
-    /// Evict globally coldest slots until `resident + need` fits the
-    /// budget. No-op without a budget or tiers; running out of
-    /// evictable slots degrades gracefully (the search continues over
-    /// budget — the tier's contract is degradation, never a stop). A
-    /// write failure poisons the store: the snapshot stays resident and
-    /// workers observe [`ShardedStore::is_poisoned`] at their next
-    /// governance check.
-    pub(crate) fn evict_to_budget(&self, need: usize) {
-        let Some(budget) = self.budget else { return };
-        self.evict_until(budget.saturating_sub(need));
-    }
-
+    /// Evict globally coldest slots until residency fits `target`.
+    /// No-op without tiers; running out of evictable slots degrades
+    /// gracefully (the search continues over budget — the tier's
+    /// contract is degradation, never a stop). A write failure poisons
+    /// the store: the snapshot stays resident and the search observes
+    /// [`ShardedStore::is_poisoned`] at its next governance check.
     fn evict_until(&self, target: usize) {
         if !self.spill_enabled || self.poisoned.load(Ordering::Relaxed) {
             return;
@@ -424,9 +452,8 @@ impl ShardedStore {
         while self.resident.load(Ordering::Relaxed) > target {
             // Globally coldest-first: min front stamp across shards.
             let mut coldest: Option<(usize, u64)> = None;
-            for (i, m) in self.shards.iter().enumerate() {
-                let mut shard = m.lock().expect("store shard lock");
-                if let Some(stamp) = shard.coldest() {
+            for i in 0..self.shards.len() {
+                if let Some(stamp) = self.lock(i).coldest() {
                     if coldest.is_none_or(|(_, best)| stamp < best) {
                         coldest = Some((i, stamp));
                     }
@@ -435,27 +462,17 @@ impl ShardedStore {
             let Some((shard_idx, stamp)) = coldest else {
                 return; // nothing evictable left; degrade gracefully
             };
-            let mut shard = self.shards[shard_idx].lock().expect("store shard lock");
+            let mut shard = self.lock(shard_idx);
             // Re-validate under one continuous lock; the slot may have
             // been touched or freed since the peek.
-            let Some(&(slot_idx, front_stamp)) = shard.lru.front() else {
-                continue;
-            };
-            if front_stamp != stamp {
+            if shard.coldest() != Some(stamp) {
                 continue;
             }
-            shard.lru.pop_front();
-            let live = shard.slots[slot_idx as usize]
-                .as_ref()
-                .is_some_and(|s| s.stamp == front_stamp && s.state.is_some());
-            if !live {
-                continue;
-            }
+            let (slot_idx, _) = shard.lru.pop_front().expect("coldest found an entry");
             let (key, state) = {
                 let entry = shard.slot_mut(slot_idx);
                 (entry.key, entry.state.take().expect("checked resident"))
             };
-            let bytes = shard.slot(slot_idx).bytes;
             if shard.slot(slot_idx).ticket.is_none() {
                 let tier = shard.tier.as_mut().expect("spill_enabled checked");
                 match tier.write_state(key, &state) {
@@ -473,13 +490,13 @@ impl ShardedStore {
                     }
                 }
             }
+            let bytes = shard.slot(slot_idx).bytes;
             if let Some(t) = shard.tier.as_mut() {
                 t.counters_mut().evictions += 1;
             }
             self.resident.fetch_sub(bytes, Ordering::Relaxed);
             let now = self.spilled.fetch_add(bytes, Ordering::Relaxed) + bytes;
             self.peak_spilled.fetch_max(now, Ordering::Relaxed);
-            drop(shard);
         }
     }
 
@@ -518,9 +535,8 @@ impl ShardedStore {
     /// Spill counters summed across every shard tier.
     pub(crate) fn spill_counters(&self) -> SpillCounters {
         let mut total = SpillCounters::default();
-        for m in &self.shards {
-            let shard = m.lock().expect("store shard lock");
-            if let Some(t) = shard.tier.as_ref() {
+        for i in 0..self.shards.len() {
+            if let Some(t) = self.lock(i).tier.as_ref() {
                 let c = t.counters();
                 total.writes += c.writes;
                 total.reads += c.reads;
@@ -532,12 +548,12 @@ impl ShardedStore {
         total
     }
 
-    /// Degradation warnings accumulated by the shard tiers.
+    /// Degradation warnings accumulated by the shard tiers (reopen
+    /// warnings such as torn crash tails).
     pub(crate) fn take_warnings(&self) -> Vec<String> {
         let mut out = Vec::new();
-        for m in &self.shards {
-            let mut shard = m.lock().expect("store shard lock");
-            if let Some(t) = shard.tier.as_mut() {
+        for i in 0..self.shards.len() {
+            if let Some(t) = self.lock(i).tier.as_mut() {
                 out.extend(t.take_warnings());
             }
         }
@@ -545,10 +561,60 @@ impl ShardedStore {
     }
 }
 
+/// Counter values a resumed run carries in from its stats; the store is
+/// rebuilt per run, so its own counters are added on top to keep the
+/// cross-resume totals cumulative. Zero for a fresh run.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct CarryBase {
+    spill_writes: u64,
+    spill_reads: u64,
+    spill_retries: u64,
+    spill_evictions: u64,
+    spill_giveups: u64,
+    intern_hits: u64,
+    peak_snapshot_bytes: usize,
+    peak_spilled_bytes: usize,
+}
+
+impl CarryBase {
+    pub(crate) fn of(stats: &SearchStats) -> Self {
+        CarryBase {
+            spill_writes: stats.spill_writes,
+            spill_reads: stats.spill_reads,
+            spill_retries: stats.spill_retries,
+            spill_evictions: stats.spill_evictions,
+            spill_giveups: stats.spill_giveups,
+            intern_hits: stats.intern_hits,
+            peak_snapshot_bytes: stats.peak_snapshot_bytes,
+            peak_spilled_bytes: stats.peak_spilled_bytes,
+        }
+    }
+}
+
+/// Mirror the store's gauges and counters into the run's stats, on top
+/// of the resumed-in `base`. The spill counters take a lock per shard,
+/// so they are only read when a tier exists.
+pub(crate) fn stamp_store(stats: &mut SearchStats, base: &CarryBase, store: &ShardedStore) {
+    stats.snapshot_bytes = store.resident_bytes();
+    stats.peak_snapshot_bytes = base.peak_snapshot_bytes.max(store.peak_resident_bytes());
+    stats.intern_hits = base.intern_hits + store.intern_hits();
+    if !store.spill_enabled() {
+        return;
+    }
+    let c = store.spill_counters();
+    stats.spill_writes = base.spill_writes + c.writes;
+    stats.spill_reads = base.spill_reads + c.reads;
+    stats.spill_retries = base.spill_retries + c.retries;
+    stats.spill_evictions = base.spill_evictions + c.evictions;
+    stats.spill_giveups = base.spill_giveups + c.giveups;
+    stats.spilled_bytes = store.spilled_bytes();
+    stats.peak_spilled_bytes = base.peak_spilled_bytes.max(store.peak_spilled_bytes());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::spill::SpillMode;
+    use crate::search::spill::{SpillFaultPlan, SpillMode};
     use estelle_runtime::{Machine, Value};
 
     const SPEC: &str = r#"
@@ -566,20 +632,22 @@ mod tests {
         let m = Machine::from_source(SPEC).unwrap();
         let mut st = m.initial_state().unwrap();
         st.globals[0] = Value::Int(n);
+        st.heap.alloc(Value::Int(7));
         st
     }
 
-    fn store(cow: bool, budget: Option<usize>, dir: Option<std::path::PathBuf>) -> ShardedStore {
-        let mut o = AnalysisOptions {
-            cow_snapshots: cow,
-            ..Default::default()
-        };
+    fn options(budget: Option<usize>, dir: Option<std::path::PathBuf>) -> AnalysisOptions {
+        let mut o = AnalysisOptions::default();
         o.limits.max_state_bytes = budget;
         if let Some(d) = dir {
             o.spill.mode = SpillMode::On;
             o.spill.dir = Some(d);
         }
-        ShardedStore::build(&o, None).expect("store builds")
+        o
+    }
+
+    fn store(threads: usize, budget: Option<usize>, dir: Option<std::path::PathBuf>) -> ShardedStore {
+        ShardedStore::build(&options(budget, dir), None, threads).expect("store builds")
     }
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -593,41 +661,35 @@ mod tests {
     }
 
     #[test]
-    fn identical_states_intern_in_cow_mode_only() {
+    fn identical_states_intern_under_memory_pressure() {
         // A budget engages the pressure path; without one the store
-        // skips interning entirely (see `pressure_free_store_never_interns`).
-        let cow = store(true, Some(usize::MAX), None);
-        let (a, hit_a) = cow.save(state_with(7));
-        let after_first = cow.resident_bytes();
-        let (b, hit_b) = cow.save(state_with(7));
-        assert!(!hit_a);
-        assert!(hit_b, "identical content must share a slot under COW");
-        assert_eq!(cow.intern_hits(), 1);
+        // skips interning entirely (see the next test).
+        let st = store(4, Some(usize::MAX), None);
+        let (a, hit_a) = st.save(state_with(7));
+        let after_first = st.resident_bytes();
+        let (b, hit_b) = st.save(state_with(7));
+        let (c, hit_c) = st.save(state_with(8));
+        assert!(!hit_a && !hit_c);
+        assert!(hit_b, "identical content must share a slot");
+        assert_eq!(st.intern_hits(), 1);
         assert_eq!(b.state_bytes, a.state_bytes);
-        let before = cow.resident_bytes();
-        assert_eq!(before, after_first, "a dedup hit charges nothing");
-        cow.release(b);
+        st.release(c);
+        assert_eq!(st.resident_bytes(), after_first, "a dedup hit charges nothing");
+        st.release(b);
         assert_eq!(
-            cow.resident_bytes(),
-            before,
+            st.resident_bytes(),
+            after_first,
             "shared slot stays charged while a reference remains"
         );
-        cow.release(a);
-        assert_eq!(cow.resident_bytes(), 0);
-
-        let deep = store(false, Some(usize::MAX), None);
-        let (_, h1) = deep.save(state_with(7));
-        let (_, h2) = deep.save(state_with(7));
-        assert!(!h1 && !h2, "deep mode never interns");
-        assert_eq!(deep.intern_hits(), 0);
+        st.release(a);
+        assert_eq!(st.resident_bytes(), 0);
     }
 
     #[test]
     fn pressure_free_store_never_interns_but_keeps_the_gauges() {
         // No budget, no tier: the fast slab path. Identical states get
-        // distinct slots (like the sequential engine's uninterned
-        // nodes), round-trip intact, and accounting still balances.
-        let st = store(true, None, None);
+        // distinct slots, round-trip intact, and accounting balances.
+        let st = store(1, None, None);
         let (a, hit_a) = st.save(state_with(7));
         let (b, hit_b) = st.save(state_with(7));
         assert!(!hit_a && !hit_b, "pressure-free saves never dedup");
@@ -644,21 +706,81 @@ mod tests {
     }
 
     #[test]
-    fn materialize_roundtrips_through_the_spill_tier() {
-        let dir = tmpdir("roundtrip");
-        let st = store(true, Some(1), Some(dir.clone()));
-        let (h, _) = st.save(state_with(42));
-        assert!(st.spill_enabled());
-        assert!(st.resident_bytes() > 0);
-        st.evict_to_budget(0);
-        assert_eq!(st.resident_bytes(), 0, "the budget forces the slot out");
+    fn take_moves_the_state_out_without_a_copy() {
+        let st = store(1, None, None);
+        let original = state_with(3);
+        let (h, _) = st.save(original.snapshot());
+        assert_eq!(st.take(h).unwrap(), original);
+        assert_eq!(st.resident_bytes(), 0, "take frees the slot");
+    }
+
+    #[test]
+    fn take_of_a_shared_slot_copies_and_keeps_the_other_reference() {
+        let st = store(1, None, None);
+        let (h, _) = st.save(state_with(4));
+        st.retain(h);
+        assert_eq!(st.take(h).unwrap().globals[0], Value::Int(4));
+        assert_eq!(st.resident_bytes(), h.state_bytes, "one reference remains");
+        assert_eq!(st.take(h).unwrap().globals[0], Value::Int(4));
+        assert_eq!(st.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn one_thread_spills_at_the_directory_root_many_under_shards() {
+        for (threads, nested) in [(1, false), (2, true)] {
+            let dir = tmpdir(&format!("layout-{}", threads));
+            let st = store(threads, Some(1), Some(dir.clone()));
+            let (h, _) = st.save(state_with(5));
+            assert_eq!(st.take(h).unwrap().globals[0], Value::Int(5));
+            let at_root = std::fs::read_dir(&dir)
+                .unwrap()
+                .filter_map(|e| e.ok())
+                .any(|e| e.file_name().to_string_lossy().ends_with(".seg"));
+            assert_eq!(at_root, !nested, "threads={}", threads);
+            assert_eq!(dir.join("shard00").exists(), nested, "threads={}", threads);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn budget_pressure_evicts_to_disk_and_faults_back_in() {
+        let dir = tmpdir("evict");
+        let one = state_with(0).approx_bytes();
+        // Budget below two snapshots: saving eight forces eviction.
+        let budget = one * 2;
+        let st = store(1, Some(budget), Some(dir.clone()));
+        let handles: Vec<_> = (0..8).map(|n| st.save(state_with(n)).0).collect();
         assert!(st.spilled_bytes() > 0);
-        assert!(st.spill_counters().evictions >= 1);
-        let back = st.materialize(h).expect("faults back in");
-        assert_eq!(back.globals[0], Value::Int(42));
-        assert!(st.resident_bytes() > 0, "fault-in moves bytes back to RAM");
+        assert!(st.spill_counters().evictions > 0);
+        // Every snapshot — resident or spilled — restores intact. After
+        // one pass every slot has been on disk, so a second pass re-evicts
+        // without writing anything.
+        let mut writes = Vec::new();
+        for _ in 0..2 {
+            for (n, &h) in handles.iter().enumerate() {
+                assert_eq!(st.materialize(h).unwrap().globals[0], Value::Int(n as i64));
+            }
+            writes.push(st.spill_counters().writes);
+        }
+        assert!(st.spill_counters().reads > 0);
+        assert_eq!(writes[0], writes[1]);
+        assert!(
+            st.peak_resident_bytes() <= budget,
+            "eviction holds RAM at the budget ({} > {})",
+            st.peak_resident_bytes(),
+            budget
+        );
+        // Taking and releasing everything returns both gauges to zero.
+        for (i, h) in handles.into_iter().enumerate() {
+            if i % 2 == 0 {
+                assert_eq!(st.take(h).unwrap().globals[0], Value::Int(i as i64));
+            } else {
+                st.release(h);
+            }
+        }
+        assert_eq!(st.resident_bytes(), 0);
         assert_eq!(st.spilled_bytes(), 0);
-        assert!(st.spill_counters().reads >= 1);
+        assert!(st.peak_spilled_bytes() > 0);
         assert!(!st.is_poisoned());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -666,7 +788,7 @@ mod tests {
     #[test]
     fn eviction_is_globally_coldest_first_across_shards() {
         let dir = tmpdir("coldest");
-        let st = store(false, Some(usize::MAX), Some(dir.clone()));
+        let st = store(4, Some(usize::MAX), Some(dir.clone()));
         // Distinct states land in different shards (very likely); the
         // least recently touched must go first regardless of shard.
         let handles: Vec<_> = (0..8).map(|i| st.save(state_with(i)).0).collect();
@@ -687,9 +809,8 @@ mod tests {
     #[test]
     fn release_of_spilled_slot_clears_the_disk_gauge() {
         let dir = tmpdir("release-spilled");
-        let st = store(true, Some(1), Some(dir.clone()));
+        let st = store(1, Some(1), Some(dir.clone()));
         let (h, _) = st.save(state_with(9));
-        st.evict_to_budget(0);
         assert!(st.spilled_bytes() > 0);
         st.release(h);
         assert_eq!(st.spilled_bytes(), 0);
@@ -699,7 +820,7 @@ mod tests {
 
     #[test]
     fn peaks_track_high_water_marks() {
-        let st = store(false, None, None);
+        let st = store(1, None, None);
         let (a, _) = st.save(state_with(1));
         let (b, _) = st.save(state_with(2));
         let peak = st.peak_resident_bytes();
@@ -712,25 +833,32 @@ mod tests {
 
     #[test]
     fn write_failure_poisons_the_store_and_keeps_the_state() {
-        use crate::search::spill::SpillFaultPlan;
         let dir = tmpdir("poison");
-        let mut o = AnalysisOptions::default();
-        o.limits.max_state_bytes = Some(1);
-        o.spill.mode = SpillMode::On;
-        o.spill.dir = Some(dir.clone());
+        let mut o = options(Some(1), Some(dir.clone()));
         o.spill.fault_plan = Some(SpillFaultPlan {
             hard_writes_after: Some(0),
             ..SpillFaultPlan::default()
         });
-        let st = ShardedStore::build(&o, None).expect("store builds");
+        let st = ShardedStore::build(&o, None, 1).expect("store builds");
         let (h, _) = st.save(state_with(3));
-        st.evict_to_budget(0);
         assert!(st.is_poisoned(), "dead disk must poison");
         let fault = st.take_fault().expect("fault recorded");
         assert!(fault.to_string().contains("disk full"), "{}", fault);
         // The snapshot never left RAM; the search can still checkpoint.
         assert_eq!(st.materialize(h).unwrap().globals[0], Value::Int(3));
         assert!(st.resident_bytes() > 0);
+        // A poisoned store stops evicting instead of retrying the disk.
+        let (_, _) = st.save(state_with(4));
+        assert_eq!(st.resident_bytes(), 2 * h.state_bytes);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn content_key_separates_states_and_ignores_sharing() {
+        let st = state_with(0);
+        let mut other = st.clone();
+        other.globals[0] = Value::Int(1);
+        assert_ne!(state_key(&st), state_key(&other));
+        assert_eq!(state_key(&st), state_key(&st.snapshot()));
     }
 }

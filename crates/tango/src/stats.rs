@@ -47,9 +47,9 @@ pub struct SearchStats {
     /// Paths cut by the consecutive-barren-steps bound (non-progress
     /// cycles, unbounded fabrication on unobserved IPs).
     pub barren_prunes: u64,
-    /// Saves deduplicated by the snapshot-interning cache: the state was
-    /// already resident, so it was shared instead of copied (COW mode
-    /// only; always 0 under `--cow=off`).
+    /// Saves deduplicated by the snapshot store's interning: the state
+    /// was already resident, so it was shared instead of stored twice
+    /// (only under a `max_state_bytes` budget; always 0 without one).
     pub intern_hits: u64,
     /// Approximate bytes of saved state snapshots currently held by the
     /// search (DFS frames, MDFS work + PG nodes) — the quantity the
@@ -96,14 +96,6 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
-    /// Deprecated alias for [`SearchStats::wall_time`]: the measurement
-    /// was always wall-clock, never process CPU time, and the old name
-    /// said otherwise.
-    #[deprecated(since = "0.5.0", note = "renamed to `wall_time`; it was always wall-clock")]
-    pub fn cpu_time(&self) -> Duration {
-        self.wall_time
-    }
-
     /// Average branching factor over the search.
     pub fn average_fanout(&self) -> f64 {
         if self.fanout_samples == 0 {
@@ -316,17 +308,6 @@ mod tests {
         }
         assert_eq!(total.steals, 14);
         assert_eq!(total.steal_failures, 4);
-    }
-
-    #[test]
-    fn deprecated_cpu_time_aliases_wall_time() {
-        let s = SearchStats {
-            wall_time: Duration::from_millis(250),
-            ..Default::default()
-        };
-        #[allow(deprecated)]
-        let aliased = s.cpu_time();
-        assert_eq!(aliased, s.wall_time);
     }
 
     #[test]

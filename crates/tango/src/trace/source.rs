@@ -463,12 +463,6 @@ pub struct SourceFaultPlan {
     pub short_read_every: usize,
 }
 
-/// Pre-unification name of [`SourceFaultPlan`], kept so existing code
-/// compiles. New code should arm source faults through
-/// [`crate::fault::FaultPlan`].
-#[deprecated(note = "renamed to SourceFaultPlan; compose sites via tango::fault::FaultPlan")]
-pub type FaultPlan = SourceFaultPlan;
-
 /// A fault-injecting [`TraceSource`] for robustness testing.
 ///
 /// Feeds the lines of a rendered trace one per poll, mangling them per

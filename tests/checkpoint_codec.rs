@@ -21,8 +21,8 @@ fn temp_file(tag: &str) -> PathBuf {
     dir.join("checkpoint.bin")
 }
 
-/// Produce a real limit-stopped checkpoint (with frames, interned
-/// states, a resolved trace and non-trivial counters) and its file.
+/// Produce a real limit-stopped checkpoint (with frames, a resolved
+/// trace and non-trivial counters) and its file.
 fn stopped_checkpoint() -> Checkpoint {
     let a = tp0::analyzer();
     let bad = tp0::invalidate_last_data(&tp0::complete_valid_trace(3, 3, 1))
@@ -105,15 +105,19 @@ fn wrong_magic_is_a_typed_error() {
 #[test]
 fn future_version_is_refused_not_misread() {
     let (_, mut bytes, path) = checkpoint_bytes("version");
-    // The version field sits right after the 8-byte magic.
-    bytes[8..12].copy_from_slice(&999u32.to_le_bytes());
-    std::fs::write(&path, &bytes).unwrap();
-    match Checkpoint::read_from(&path) {
-        Err(CheckpointError::UnsupportedVersion { found, supported }) => {
-            assert_eq!(found, 999);
-            assert!(supported < 999);
+    // A far-future version, and v4 — the last layout with a `STATES`
+    // table, which this build no longer reads. The version field sits
+    // right after the 8-byte magic.
+    for version in [999u32, 4] {
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        match Checkpoint::read_from(&path) {
+            Err(CheckpointError::UnsupportedVersion { found, supported }) => {
+                assert_eq!(found, version);
+                assert_ne!(supported, version);
+            }
+            other => panic!("version {} must be refused, got {:?}", version, other.err()),
         }
-        other => panic!("future version must be refused, got {:?}", other.err()),
     }
 }
 
@@ -146,7 +150,7 @@ fn flipped_byte_in_each_section_is_caught_by_its_checksum() {
     // Walk the real section table so each corruption lands squarely
     // inside one section's payload.
     let sections = walk_sections(&bytes);
-    assert_eq!(sections.len(), 4, "META, TRACE, STATES, DFS");
+    assert_eq!(sections.len(), 3, "META, TRACE, DFS");
     for (name, start, len) in &sections {
         if *len == 0 {
             continue;
@@ -253,7 +257,6 @@ fn walk_sections(bytes: &[u8]) -> Vec<(&'static str, usize, usize)> {
         let name = match tag {
             1 => "meta",
             2 => "trace",
-            3 => "states",
             4 => "dfs",
             _ => "unknown",
         };

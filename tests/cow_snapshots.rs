@@ -1,28 +1,29 @@
-//! Copy-on-write Save/Restore equivalence tests.
+//! Copy-on-write Save/Restore tests.
 //!
-//! The COW snapshot path (`cow_snapshots = true`, the default) and the
-//! eager deep-clone baseline (`--cow=off`) must be observationally
-//! identical: same verdicts, same TE/GE/RE/SA counters, same behaviour
-//! across checkpoint/resume — only the cost differs. These tests pin that
-//! equivalence, the snapshot-interning dedup, and the saturating
+//! Every saved search state is a COW snapshot held by the snapshot
+//! store, which saves along one of two paths: pressure-free (no byte
+//! budget: no hashing, no interning) or under a budget (every save is
+//! content-keyed and identical snapshots are interned, charged once).
+//! The two paths must be observationally identical: same verdicts, same
+//! TE/GE/RE/SA counters, same behaviour across checkpoint/resume — only
+//! the cost differs. These tests pin that equivalence and the
 //! `snapshot_bytes` accounting that must never wrap across stop/resume.
 
 use protocols::tp0;
-use tango::{
-    AnalysisOptions, ChoicePolicy, ScriptedInput, SearchStats, Tango, Trace, Verdict,
-};
+use tango::{AnalysisOptions, SearchStats, Trace, Verdict};
 
 /// The counters the paper's tables report; `wall_time` is excluded since
-/// the two modes differ precisely in how long the same work takes.
+/// the two paths differ precisely in how long the same work takes.
 fn counters(s: &SearchStats) -> (u64, u64, u64, u64) {
     (s.transitions_executed, s.generates, s.restores, s.saves)
 }
 
-fn with_cow(cow: bool) -> AnalysisOptions {
-    AnalysisOptions {
-        cow_snapshots: cow,
-        ..AnalysisOptions::default()
-    }
+/// The store's pressure-free path (`false`) or its interning path under
+/// a budget too large to ever stop the search (`true`).
+fn with_budget(budget: bool) -> AnalysisOptions {
+    let mut o = AnalysisOptions::default();
+    o.limits.max_state_bytes = budget.then_some(usize::MAX);
+    o
 }
 
 fn invalid_tp0_trace() -> Trace {
@@ -31,23 +32,20 @@ fn invalid_tp0_trace() -> Trace {
 }
 
 #[test]
-fn cow_and_deep_agree_on_valid_and_invalid_tp0() {
+fn store_modes_agree_on_valid_and_invalid_tp0() {
     let a = tp0::analyzer();
     for (trace, want) in [
         (tp0::complete_valid_trace(3, 3, 1), Verdict::Valid),
         (invalid_tp0_trace(), Verdict::Invalid),
     ] {
-        let cow = a.analyze(&trace, &with_cow(true)).unwrap();
-        let deep = a.analyze(&trace, &with_cow(false)).unwrap();
-        assert_eq!(cow.verdict, want);
-        assert_eq!(deep.verdict, want);
-        assert_eq!(counters(&cow.stats), counters(&deep.stats));
-        assert_eq!(
-            deep.stats.intern_hits, 0,
-            "the deep baseline never interns"
-        );
+        let free = a.analyze(&trace, &with_budget(false)).unwrap();
+        let keyed = a.analyze(&trace, &with_budget(true)).unwrap();
+        assert_eq!(free.verdict, want);
+        assert_eq!(keyed.verdict, want);
+        assert_eq!(counters(&free.stats), counters(&keyed.stats));
+        assert_eq!(free.stats.intern_hits, 0, "the pressure-free path never interns");
         assert!(
-            cow.stats.peak_snapshot_bytes <= deep.stats.peak_snapshot_bytes,
+            keyed.stats.peak_snapshot_bytes <= free.stats.peak_snapshot_bytes,
             "deduplicated accounting can only shrink the peak"
         );
     }
@@ -58,8 +56,8 @@ fn checkpoint_resume_totals_match_under_both_modes() {
     let a = tp0::analyzer();
     let bad = invalid_tp0_trace();
     let mut totals = Vec::new();
-    for cow in [true, false] {
-        let opts = with_cow(cow);
+    for budget in [false, true] {
+        let opts = with_budget(budget);
         let baseline = a.analyze(&bad, &opts).unwrap();
         assert_eq!(baseline.verdict, Verdict::Invalid);
 
@@ -76,7 +74,7 @@ fn checkpoint_resume_totals_match_under_both_modes() {
     }
     assert_eq!(
         totals[0], totals[1],
-        "COW and deep-clone modes must do identical search work"
+        "both store paths must do identical search work"
     );
 }
 
@@ -84,7 +82,7 @@ fn checkpoint_resume_totals_match_under_both_modes() {
 fn snapshot_bytes_never_wraps_across_stop_resume_rounds() {
     let a = tp0::analyzer();
     let bad = invalid_tp0_trace();
-    let opts = with_cow(true);
+    let opts = AnalysisOptions::default();
     let baseline = a.analyze(&bad, &opts).unwrap();
 
     // Force several stop/resume rounds; a subtraction wrap anywhere in
@@ -120,61 +118,5 @@ fn snapshot_bytes_never_wraps_across_stop_resume_rounds() {
     assert_eq!(
         report.stats.snapshot_bytes, 0,
         "an exhausted search must release every snapshot byte"
-    );
-}
-
-/// A specification whose machine state never changes: every consumed
-/// `ping` fires one of two observationally identical transitions, so the
-/// DFS branches at each event while every saved node is the *same* state
-/// — the snapshot-interning cache's best case.
-const PING_SOURCE: &str = r#"
-specification pinger;
-
-channel C(user, station);
-    by user: ping;
-    by station: pong;
-end;
-
-module M process;
-    ip U : C(station);
-end;
-
-body MB for M;
-    state s0;
-    initialize to s0 begin end;
-    trans
-    from s0 to same when U.ping name ta:
-        begin end;
-    from s0 to same when U.ping name tb:
-        begin end;
-end;
-end.
-"#;
-
-#[test]
-fn identical_states_are_interned_in_cow_mode_only() {
-    let a = Tango::generate(PING_SOURCE).expect("pinger spec is valid");
-    let script: Vec<ScriptedInput> = (0..8)
-        .map(|_| ScriptedInput::new("U", "ping", vec![]))
-        .collect();
-    let trace = a
-        .generate_trace(&script, ChoicePolicy::Random(1), 1_000)
-        .expect("pinger consumes its workload");
-
-    let cow = a.analyze(&trace, &with_cow(true)).unwrap();
-    let deep = a.analyze(&trace, &with_cow(false)).unwrap();
-    assert_eq!(cow.verdict, Verdict::Valid);
-    assert_eq!(counters(&cow.stats), counters(&deep.stats));
-    assert!(cow.stats.saves > 1, "two candidates per node force saves");
-    assert!(
-        cow.stats.intern_hits > 0,
-        "every save after the first holds the same machine state"
-    );
-    assert_eq!(deep.stats.intern_hits, 0);
-    assert!(
-        cow.stats.peak_snapshot_bytes < deep.stats.peak_snapshot_bytes,
-        "interned duplicates must be charged once (cow {} vs deep {})",
-        cow.stats.peak_snapshot_bytes,
-        deep.stats.peak_snapshot_bytes
     );
 }

@@ -5,8 +5,8 @@
 //! through the on-disk codec: stop, serialize, *forget everything*,
 //! deserialize in what may as well be a different process, resume — and
 //! the verdict and TE/GE/RE/SA totals must still match, including across
-//! `--cow=off`-save/`--cow=on`-resume mode changes and over multiple
-//! rounds of accumulated CPU time. (The actual SIGKILL harness lives in
+//! snapshot-store mode changes (no budget vs. an interning budget) and
+//! over multiple rounds of accumulated wall time. (The actual SIGKILL harness lives in
 //! `crates/tango-cli/tests/crash_recovery.rs`, next to the binary it
 //! kills.)
 
@@ -18,11 +18,14 @@ fn counters(s: &SearchStats) -> (u64, u64, u64, u64) {
     (s.transitions_executed, s.generates, s.restores, s.saves)
 }
 
-fn with_cow(cow: bool) -> AnalysisOptions {
-    AnalysisOptions {
-        cow_snapshots: cow,
-        ..AnalysisOptions::default()
-    }
+/// The snapshot store's two save paths: pressure-free (no budget: no
+/// hashing, no interning) or under a byte budget (every save is keyed
+/// and identical snapshots are interned). The budget here is too large
+/// to ever stop the search.
+fn with_budget(budget: bool) -> AnalysisOptions {
+    let mut o = AnalysisOptions::default();
+    o.limits.max_state_bytes = budget.then_some(usize::MAX);
+    o
 }
 
 fn invalid_tp0_trace() -> Trace {
@@ -65,40 +68,40 @@ fn resume_from_disk_with_raised_limits_matches_uninterrupted_run() {
     assert_eq!(counters(&resumed.stats), counters(&baseline.stats));
 }
 
-/// The checkpoint carries each frame's intern key and charged bytes, so
-/// a file saved under `--cow=off` resumes correctly under `--cow=on` and
-/// vice versa — the search totals are mode-independent.
+/// A checkpoint carries each frame's state inline, so a file saved by a
+/// pressure-free store resumes correctly in an interning (budgeted) one
+/// and vice versa — the search totals are store-mode independent.
 #[test]
 fn cross_mode_save_and_resume_through_disk() {
     let a = tp0::analyzer();
     let bad = invalid_tp0_trace();
-    let baseline = a.analyze(&bad, &with_cow(true)).unwrap();
+    let baseline = a.analyze(&bad, &with_budget(false)).unwrap();
     assert_eq!(baseline.verdict, Verdict::Invalid);
 
-    for (save_cow, resume_cow) in [(false, true), (true, false)] {
-        let mut limited = with_cow(save_cow);
+    for (save_budget, resume_budget) in [(false, true), (true, false)] {
+        let mut limited = with_budget(save_budget);
         limited.limits.max_transitions = (baseline.stats.transitions_executed / 3).max(1);
         let stopped = a.analyze(&bad, &limited).unwrap();
         let cp = stopped.checkpoint.expect("limit stop must be resumable");
 
-        let path = temp_file(if save_cow { "cow-to-deep" } else { "deep-to-cow" });
+        let path = temp_file(if save_budget { "budget-to-free" } else { "free-to-budget" });
         cp.write_to(&path).expect("checkpoint writes");
         let cp = Checkpoint::read_from(&path).expect("checkpoint reads");
 
-        let resumed = a.analyze_resume(cp, &with_cow(resume_cow)).unwrap();
+        let resumed = a.analyze_resume(cp, &with_budget(resume_budget)).unwrap();
         assert_eq!(
             resumed.verdict,
             Verdict::Invalid,
-            "save cow={} resume cow={}",
-            save_cow,
-            resume_cow
+            "save budget={} resume budget={}",
+            save_budget,
+            resume_budget
         );
         assert_eq!(
             counters(&resumed.stats),
             counters(&baseline.stats),
-            "save cow={} resume cow={}",
-            save_cow,
-            resume_cow
+            "save budget={} resume budget={}",
+            save_budget,
+            resume_budget
         );
     }
 }

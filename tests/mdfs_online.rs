@@ -14,6 +14,21 @@ fn nr_options() -> AnalysisOptions {
     AnalysisOptions::with_order(OrderOptions::none())
 }
 
+/// Verdict, witness and TE/GE/RE/SA/PG-nodes of one run, as recorded
+/// from the single-consumer MDFS loop that preceded the burst engine:
+/// every worker count shares one engine now, so these literals are the
+/// only reference independent of it.
+type Golden = (Verdict, Option<&'static [&'static str]>, [u64; 5]);
+
+fn check_golden(r: &tango::AnalysisReport, (verdict, witness, counts): &Golden) {
+    let s = &r.stats;
+    assert_eq!(&r.verdict, verdict);
+    let w: Option<Vec<&str>> = r.witness.as_ref().map(|w| w.iter().map(String::as_str).collect());
+    assert_eq!(w.as_deref(), *witness);
+    let got = [s.transitions_executed, s.generates, s.restores, s.saves, s.pg_nodes];
+    assert_eq!(&got, counts, "TE/GE/RE/SA/PG");
+}
+
 /// §3.1: the greedy path T1,T1,T1 consumes all the x's and dead-ends;
 /// MDFS must keep the earlier states alive and find T1 T2 T3 T1.
 #[test]
@@ -36,8 +51,9 @@ fn ack_scenario_resolves_online() {
         .analyze_online(&mut source, &nr_options(), &mut |_| true)
         .unwrap();
     assert_eq!(report.verdict, Verdict::Valid);
-    let witness = report.witness.unwrap();
+    let witness = report.witness.clone().unwrap();
     assert!(witness.contains(&"T3".to_string()));
+    check_golden(&report, &(Verdict::Valid, Some(&["T1", "T1", "T2", "T3"]), [5, 6, 7, 6, 0]));
 }
 
 /// The same scenario delivered one event at a time from another thread.
@@ -87,6 +103,7 @@ fn ip3_prime_is_inconclusive_while_open() {
         .unwrap();
     assert_eq!(report.verdict, Verdict::LikelyInvalid);
     assert_eq!(statuses.last(), Some(&Verdict::LikelyInvalid));
+    check_golden(&report, &(Verdict::LikelyInvalid, None, [1, 2, 2, 1, 1]));
 }
 
 /// §3.1.2, `ip3'` continued: as new data interactions keep arriving at B,
@@ -114,6 +131,7 @@ fn ip3_prime_keeps_consuming_data_but_stays_inconclusive() {
         .unwrap();
     assert_eq!(report.verdict, Verdict::LikelyInvalid);
     assert_eq!(seen, 4);
+    check_golden(&report, &(Verdict::LikelyInvalid, None, [7, 17, 17, 4, 10]));
 }
 
 /// §3.1.2, full `ip3`: once `finished` arrives at B, t4 then t5 explain
@@ -136,8 +154,9 @@ fn ip3_full_resolves_once_finished_arrives() {
         })
         .unwrap();
     assert_eq!(report.verdict, Verdict::Valid);
-    let witness = report.witness.unwrap();
+    let witness = report.witness.clone().unwrap();
     assert_eq!(witness, vec!["t4".to_string(), "t5".to_string()]);
+    check_golden(&report, &(Verdict::Valid, Some(&["t4", "t5"]), [3, 4, 5, 3, 1]));
 }
 
 /// A PGAV-node yields "valid so far": everything received is explained,
@@ -151,6 +170,7 @@ fn valid_prefix_reports_valid_so_far() {
         .analyze_online(&mut source, &nr_options(), &mut |_| false)
         .unwrap();
     assert_eq!(report.verdict, Verdict::ValidSoFar);
+    check_golden(&report, &(Verdict::ValidSoFar, None, [2, 2, 4, 3, 2]));
 }
 
 /// Invalid input that no future data can repair gives a conclusive
@@ -174,13 +194,28 @@ fn conclusively_invalid_without_eof() {
         .analyze_online(&mut source, &nr_options(), &mut |_| true)
         .unwrap();
     assert_eq!(report.verdict, Verdict::Invalid);
+    check_golden(&report, &(Verdict::Invalid, None, [0, 1, 1, 1, 0]));
 }
 
 /// MDFS over a static source agrees with plain DFS.
 #[test]
 fn mdfs_agrees_with_dfs_on_static_traces() {
     let analyzer = protocols::tp0::analyzer();
-    for seed in [1, 5] {
+    let goldens: [Golden; 2] = [
+        (
+            Verdict::Valid,
+            Some(&[
+                "t10", "t11", "t13", "t13", "t13", "t14", "t14", "t15", "t15", "t16", "t16", "t17",
+            ]),
+            [17, 17, 18, 13, 0],
+        ),
+        (
+            Verdict::Valid,
+            Some(&["t10", "t11", "t13", "t13", "t13", "t15", "t15", "t17"]),
+            [12, 12, 13, 9, 0],
+        ),
+    ];
+    for (seed, golden) in [1, 5].into_iter().zip(&goldens) {
         let trace = protocols::tp0::valid_trace(3, 2, seed);
         let dfs = analyzer.analyze(&trace, &nr_options()).unwrap();
         let mut source = StaticSource::new(trace);
@@ -189,6 +224,7 @@ fn mdfs_agrees_with_dfs_on_static_traces() {
             .unwrap();
         assert_eq!(dfs.verdict, mdfs.verdict);
         assert_eq!(dfs.verdict, Verdict::Valid);
+        check_golden(&mdfs, golden);
     }
 
     let bad = protocols::tp0::invalidate_last_data(&protocols::tp0::valid_trace(2, 2, 9)).unwrap();
@@ -205,6 +241,7 @@ fn mdfs_agrees_with_dfs_on_static_traces() {
         .unwrap();
     assert_eq!(dfs.verdict, Verdict::Invalid);
     assert_eq!(mdfs.verdict, Verdict::Invalid);
+    check_golden(&mdfs, &(Verdict::Invalid, None, [16, 16, 16, 9, 0]));
 }
 
 /// §3.1.3: basic MDFS and reordering MDFS agree on verdicts; reordering
@@ -230,5 +267,7 @@ fn basic_and_reordering_mdfs_agree() {
             .analyze_online(&mut source, &options, &mut |_| true)
             .unwrap();
         assert_eq!(report.verdict, Verdict::Valid, "reorder={}", reorder);
+        check_golden(&report, &(Verdict::Valid, Some(&["T1", "T2", "T3"]), [4, 5, 6, 5, 0]));
     }
 }
+

@@ -23,6 +23,24 @@ fn counters(s: &SearchStats) -> (u64, u64, u64, u64) {
     (s.transitions_executed, s.generates, s.restores, s.saves)
 }
 
+/// Verdict, witness and TE/GE/RE/SA/PG-nodes of one run, as recorded
+/// from the single-consumer MDFS loop that preceded the burst engine:
+/// every worker count shares one engine now, so these literals are the
+/// only reference independent of it.
+type Golden = (Verdict, Option<&'static [&'static str]>, [u64; 5]);
+
+fn check_golden(tag: &str, r: &tango::AnalysisReport, (verdict, witness, counts): &Golden) {
+    let s = &r.stats;
+    assert_eq!(&r.verdict, verdict, "{}", tag);
+    let w: Option<Vec<&str>> = r.witness.as_ref().map(|w| w.iter().map(String::as_str).collect());
+    assert_eq!(w.as_deref(), *witness, "{}", tag);
+    let got = [s.transitions_executed, s.generates, s.restores, s.saves, s.pg_nodes];
+    assert_eq!(&got, counts, "{}: TE/GE/RE/SA/PG", tag);
+}
+
+/// The recorded one-worker run of `invalid_tp0_trace(3)` under NR.
+const INVALID_3_NR: Golden = (Verdict::Invalid, None, [88329, 88329, 88329, 36687, 0]);
+
 /// An invalid trace whose NR-order search backtracks hard: `up` data
 /// units each way gives ~90k transitions at 3+3 — enough work to spread
 /// over eight workers, small enough to run the whole matrix in seconds.
@@ -53,51 +71,72 @@ fn spill_dir(tag: &str) -> PathBuf {
 }
 
 /// The backbone: DFS vs MDFS vs MDFS×{2,4,8} on a backtracking-heavy
-/// invalid trace and a complete valid one, under both snapshot modes.
-/// DFS and MDFS are different engines with different GE/RE/SA
-/// bookkeeping (PG-node revival re-generates, DFS restores per frame),
-/// so across *modes* the contract is verdict + TE; across *worker
-/// counts* within MDFS it is everything.
+/// invalid trace and a complete valid one. DFS and MDFS are different
+/// engines with different GE/RE/SA bookkeeping (PG-node revival
+/// re-generates, DFS restores per frame), so across *modes* the contract
+/// is verdict + TE; across *worker counts* within MDFS it is everything.
 #[test]
 fn worker_count_never_changes_verdict_or_counters() {
     let a = tp0::analyzer();
     let bad = invalid_tp0_trace(3);
     let good = tp0::complete_valid_trace(3, 3, 1);
 
-    for cow in [true, false] {
-        for order in [OrderOptions::none(), OrderOptions::full()] {
-            let opts = AnalysisOptions {
-                cow_snapshots: cow,
-                order,
-                ..Default::default()
-            };
-            for (tag, trace, verdict) in [
-                ("invalid", &bad, Verdict::Invalid),
-                ("valid", &good, Verdict::Valid),
-            ] {
-                let dfs = a.analyze(trace, &opts).unwrap();
-                assert_eq!(dfs.verdict, verdict, "cow={} {}", cow, tag);
-                let seq = online(&a, trace, &opts);
-                assert_eq!(seq.verdict, verdict, "cow={} {}", cow, tag);
+    let goldens: [[Golden; 2]; 2] = [
+        [
+            INVALID_3_NR,
+            (
+                Verdict::Valid,
+                Some(&[
+                    "t10", "t11", "t13", "t13", "t13", "t14", "t14", "t14", "t15", "t15", "t15",
+                    "t16", "t16", "t16", "t17",
+                ]),
+                [15, 15, 16, 16, 0],
+            ),
+        ],
+        [
+            (Verdict::Invalid, None, [26, 26, 26, 17, 0]),
+            (
+                Verdict::Valid,
+                Some(&[
+                    "t10", "t11", "t15", "t16", "t13", "t14", "t15", "t16", "t13", "t15", "t13",
+                    "t14", "t16", "t14", "t17",
+                ]),
+                [17, 17, 18, 16, 0],
+            ),
+        ],
+    ];
+    for (order, [bad_golden, good_golden]) in
+        [OrderOptions::none(), OrderOptions::full()].into_iter().zip(&goldens)
+    {
+        let opts = AnalysisOptions {
+            order,
+            ..Default::default()
+        };
+        for (tag, trace, verdict, golden) in [
+            ("invalid", &bad, Verdict::Invalid, bad_golden),
+            ("valid", &good, Verdict::Valid, good_golden),
+        ] {
+            let dfs = a.analyze(trace, &opts).unwrap();
+            assert_eq!(dfs.verdict, verdict, "{}", tag);
+            let seq = online(&a, trace, &opts);
+            assert_eq!(seq.verdict, verdict, "{}", tag);
+            check_golden(tag, &seq, golden);
+            assert_eq!(
+                seq.stats.transitions_executed, dfs.stats.transitions_executed,
+                "DFS and MDFS disagree on TE for a static trace ({})",
+                tag
+            );
+            for n in WORKER_COUNTS {
+                let par = online(&a, trace, &with_workers(&opts, n));
+                assert_eq!(par.verdict, seq.verdict, "workers={} {}", n, tag);
                 assert_eq!(
-                    seq.stats.transitions_executed, dfs.stats.transitions_executed,
-                    "DFS and MDFS disagree on TE for a static trace (cow={}, {})",
-                    cow,
+                    counters(&par.stats),
+                    counters(&seq.stats),
+                    "workers={} changed TE/GE/RE/SA ({})",
+                    n,
                     tag
                 );
-                for n in WORKER_COUNTS {
-                    let par = online(&a, trace, &with_workers(&opts, n));
-                    assert_eq!(par.verdict, seq.verdict, "workers={} cow={} {}", n, cow, tag);
-                    assert_eq!(
-                        counters(&par.stats),
-                        counters(&seq.stats),
-                        "workers={} changed TE/GE/RE/SA (cow={}, {})",
-                        n,
-                        cow,
-                        tag
-                    );
-                    assert_eq!(par.witness, seq.witness, "workers={} cow={} {}", n, cow, tag);
-                }
+                assert_eq!(par.witness, seq.witness, "workers={} {}", n, tag);
             }
         }
     }
@@ -128,6 +167,8 @@ fn parallel_witness_is_the_sequential_witness() {
     let mut source = ack_source();
     let seq = a.analyze_online(&mut source, &opts, &mut |_| true).unwrap();
     assert_eq!(seq.verdict, Verdict::Valid);
+    let golden = (Verdict::Valid, Some(&["T1", "T1", "T2", "T3"][..]), [5, 6, 7, 6, 0]);
+    check_golden("ack", &seq, &golden);
     let seq_witness = seq.witness.clone().expect("valid verdict carries a witness");
 
     for n in [2, 4, 8] {
@@ -156,6 +197,8 @@ fn spilled_parallel_run_matches_all_ram_sequential() {
     let opts = AnalysisOptions::with_order(OrderOptions::none());
     let baseline = online(&a, &bad, &opts);
     assert_eq!(baseline.verdict, Verdict::Invalid);
+    let golden = (Verdict::Invalid, None, [1130, 1342, 1342, 695, 0]);
+    check_golden("invalid 2+2", &baseline, &golden);
 
     for n in WORKER_COUNTS {
         let dir = spill_dir(&format!("w{}", n));
@@ -190,7 +233,7 @@ fn checkpoint_saved_at_n_workers_resumes_at_m() {
     let bad = invalid_tp0_trace(3);
     let opts = AnalysisOptions::with_order(OrderOptions::none());
     let uninterrupted = online(&a, &bad, &opts);
-    assert_eq!(uninterrupted.verdict, Verdict::Invalid);
+    check_golden("uninterrupted", &uninterrupted, &INVALID_3_NR);
     let cap = uninterrupted.stats.transitions_executed / 2;
     assert!(cap > 0, "workload too small to interrupt");
 
@@ -248,6 +291,7 @@ fn steal_counters_only_appear_on_multi_worker_runs() {
     let opts = AnalysisOptions::with_order(OrderOptions::none());
 
     let seq = online(&a, &bad, &opts);
+    check_golden("one worker", &seq, &INVALID_3_NR);
     assert_eq!(seq.stats.steals, 0, "one worker cannot steal");
     assert_eq!(seq.stats.steal_failures, 0);
 
@@ -256,3 +300,4 @@ fn steal_counters_only_appear_on_multi_worker_runs() {
     // internally consistent and the run observationally sequential.
     assert_eq!(counters(&par.stats), counters(&seq.stats));
 }
+
