@@ -14,6 +14,9 @@
 //! TE/GE/RE/SA counters are identical in all three modes, and records
 //! throughput (nodes/sec) and the `search.generate_latency_us`
 //! histogram for each mode in `BENCH_generate.json` at the repo root.
+//! It also records the §4.2 linearity of valid-trace analysis
+//! (`valid_linearity`: µs per transition executed on a long valid TP0
+//! trace against a short one), which `--check` gates.
 //!
 //! ```sh
 //! cargo run -p bench --bin generate_exec --release            # full record
@@ -27,7 +30,7 @@ use protocols::synthetic::SyntheticSpec;
 use protocols::{lapd, tp0};
 use tango::{
     AnalysisOptions, ChoicePolicy, OrderOptions, StaticSource, Telemetry, Trace, TraceAnalyzer,
-    DEFAULT_RING_CAPACITY,
+    Verdict, DEFAULT_RING_CAPACITY,
 };
 
 /// Profile one compiled run and feed the fire counts back into the
@@ -68,18 +71,21 @@ fn run_mode(
     exec: ExecMode,
     max_transitions: u64,
     reps: u32,
+    min_seconds: f64,
 ) -> ModeResult {
     let mut options = AnalysisOptions::with_order(order);
     options.exec_mode = exec;
     options.limits.max_transitions = max_transitions;
-    // Short workloads repeat the identical analysis `reps` times and
-    // report totals, so the throughput column is not at the mercy of a
-    // sub-millisecond timer. The counters are per-run (every repetition
-    // does the same search).
+    // Short workloads repeat the identical analysis at least `reps` times
+    // and for at least `min_seconds`, and report totals, so the
+    // throughput column is not at the mercy of a sub-millisecond timer.
+    // The counters are per-run (every repetition does the same search).
     let mut total_seconds = 0.0;
     let mut total_te = 0u64;
     let mut last: Option<ModeResult> = None;
-    for _ in 0..reps.max(1) {
+    let mut runs = 0;
+    while runs < reps.max(1) || total_seconds < min_seconds {
+        runs += 1;
         // Metrics stay on in both modes so the timing overhead cancels
         // in the A/B comparison and the latency histogram is always
         // present.
@@ -146,6 +152,9 @@ struct Workload {
     /// Repetitions of the identical analysis (totals reported), so short
     /// rows measure above timer noise.
     reps: u32,
+    /// Keep repeating until the repetitions add up to this much search
+    /// time, for rows too fast for `reps` alone to measure.
+    min_seconds: f64,
 }
 
 fn workloads(quick: bool) -> Vec<Workload> {
@@ -167,6 +176,7 @@ fn workloads(quick: bool) -> Vec<Workload> {
         cap: 50_000_000,
         gate: false,
         reps: if quick { 1 } else { 10 },
+        min_seconds: if quick { 0.05 } else { 0.5 },
     });
     w.push(Workload {
         name: format!("tp0-invalid-{0}+{0}-NR", up),
@@ -177,6 +187,7 @@ fn workloads(quick: bool) -> Vec<Workload> {
         cap,
         gate: false,
         reps: 1,
+        min_seconds: 0.0,
     });
     // LAPD: the paper's heavyweight spec. The compact form has the
     // paper's FSM; the expanded form multiplies the declarations past
@@ -192,6 +203,7 @@ fn workloads(quick: bool) -> Vec<Workload> {
         cap: 50_000_000,
         gate: !quick,
         reps: if quick { 1 } else { 30 },
+        min_seconds: 0.0,
     });
     w.push(Workload {
         name: format!("lapd-800-valid-DI{}-FULL", di),
@@ -201,6 +213,7 @@ fn workloads(quick: bool) -> Vec<Workload> {
         cap: 50_000_000,
         gate: !quick,
         reps: if quick { 1 } else { 30 },
+        min_seconds: 0.0,
     });
     // The same spec in the §4 Generate-bound regime: NR order and a
     // setup-phase trace keep the run inside transition-table scans
@@ -215,6 +228,7 @@ fn workloads(quick: bool) -> Vec<Workload> {
         cap: 50_000_000,
         gate: !quick,
         reps: if quick { 1 } else { 200 },
+        min_seconds: 0.0,
     });
     // Synthetic declaration-count sweep: fixed workload, growing spec.
     let sweep: &[usize] = if quick { &[50] } else { &[50, 200, 800] };
@@ -233,6 +247,7 @@ fn workloads(quick: bool) -> Vec<Workload> {
             cap: 50_000_000,
             gate: false,
             reps: if quick { 1 } else { 10 },
+            min_seconds: 0.0,
         });
     }
     w
@@ -249,7 +264,9 @@ fn timed_run(w: &Workload, recorder: bool) -> (f64, (u64, u64, u64, u64), String
     let mut te_total = 0u64;
     let mut counters = (0, 0, 0, 0);
     let mut verdict = String::new();
-    for _ in 0..w.reps.max(1) {
+    let mut runs = 0;
+    while runs < w.reps.max(1) || secs < w.min_seconds {
+        runs += 1;
         let mut tel = if recorder {
             Telemetry::off().with_recorder(DEFAULT_RING_CAPACITY)
         } else {
@@ -346,6 +363,72 @@ fn mdfs_scaling(quick: bool) -> (String, usize, Vec<ScaleRow>) {
     (name, cores, rows)
 }
 
+/// Data interactions each way of the short and the long §4.2 trace.
+const LINEARITY_SIZES: [usize; 2] = [250, 1250];
+/// Gate: the long trace may cost at most this many times the short
+/// one's µs per transition executed.
+const LINEARITY_MAX_RATIO: f64 = 2.0;
+
+/// One trace size of the §4.2 linearity record.
+struct LinearityRow {
+    data: usize,
+    trace_len: usize,
+    te: u64,
+    /// Best (lowest) wall µs per transition executed over the passes.
+    us_per_te: f64,
+}
+
+/// §4.2: on a valid TP0 trace "the search time would be linear with
+/// respect to the length of the trace". The inputs are the perfbench
+/// `long-valid-full` TP0 traces at the two [`LINEARITY_SIZES`]: valid
+/// FULL, no disconnect request, so every data exchange is in the trace.
+/// Each pass times the two sizes back to back, each repeated for at
+/// least `min_seconds` of in-process wall time (trace resolution and
+/// search); the best µs per TE of three passes counts. Returns the rows
+/// and the long/short µs-per-TE ratio, which stays near 1 while search
+/// time is linear in the trace.
+fn valid_linearity(min_seconds: f64) -> (Vec<LinearityRow>, f64) {
+    let analyzer = tp0::analyzer();
+    let options = AnalysisOptions::with_order(OrderOptions::full());
+    let traces: Vec<Trace> = LINEARITY_SIZES
+        .iter()
+        .map(|&n| {
+            let mut script = tp0::workload(n, n);
+            script.pop();
+            analyzer
+                .generate_trace(&script, ChoicePolicy::Random(1), 10_000_000)
+                .expect("TP0 consumes its whole workload")
+        })
+        .collect();
+    let mut rows: Vec<LinearityRow> = LINEARITY_SIZES
+        .iter()
+        .zip(&traces)
+        .map(|(&data, t)| LinearityRow {
+            data,
+            trace_len: t.len(),
+            te: 0,
+            us_per_te: f64::INFINITY,
+        })
+        .collect();
+    for _ in 0..3 {
+        for (row, trace) in rows.iter_mut().zip(&traces) {
+            let mut secs = 0.0;
+            let mut te = 0u64;
+            while secs < min_seconds || te == 0 {
+                let t = std::time::Instant::now();
+                let r = analyzer.analyze(trace, &options).expect("analysis runs");
+                secs += t.elapsed().as_secs_f64();
+                assert_eq!(r.verdict, Verdict::Valid, "{}+{}", row.data, row.data);
+                te += r.stats.transitions_executed;
+                row.te = r.stats.transitions_executed;
+            }
+            row.us_per_te = row.us_per_te.min(secs * 1e6 / te as f64);
+        }
+    }
+    let ratio = rows[1].us_per_te / rows[0].us_per_te;
+    (rows, ratio)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("--check") {
@@ -363,6 +446,19 @@ fn main() {
         }
         if !text.contains("\"benchmark\": \"generate_exec\"") {
             eprintln!("generate_exec --check: {}: not a generate_exec record", path);
+            std::process::exit(1);
+        }
+        if !text.contains("\"valid_linearity\"") || !text.contains("\"linearity_gate_ok\": true") {
+            eprintln!(
+                "generate_exec --check: {}: missing a passing valid_linearity record \
+                 (valid TP0 FULL {}+{} may cost at most {}x the µs per TE of {}+{})",
+                path,
+                LINEARITY_SIZES[1],
+                LINEARITY_SIZES[1],
+                LINEARITY_MAX_RATIO,
+                LINEARITY_SIZES[0],
+                LINEARITY_SIZES[0]
+            );
             std::process::exit(1);
         }
         if !text.contains("\"mdfs_scaling\"") || !text.contains("\"scaling_gate_ok\": true") {
@@ -386,11 +482,21 @@ fn main() {
         "workload", "exec", "CPUT(s)", "nodes/s", "GE", "gen-mean(us)"
     );
     for mut w in workloads(quick) {
-        let compiled =
-            run_mode(&w.analyzer, &w.trace, w.order, ExecMode::Compiled, w.cap, w.reps);
-        let interp = run_mode(&w.analyzer, &w.trace, w.order, ExecMode::Interp, w.cap, w.reps);
+        let run = |w: &Workload, exec| {
+            run_mode(
+                &w.analyzer,
+                &w.trace,
+                w.order,
+                exec,
+                w.cap,
+                w.reps,
+                w.min_seconds,
+            )
+        };
+        let compiled = run(&w, ExecMode::Compiled);
+        let interp = run(&w, ExecMode::Interp);
         apply_pgo(&mut w.analyzer, &w.trace, w.order, w.cap);
-        let pgo = run_mode(&w.analyzer, &w.trace, w.order, ExecMode::Compiled, w.cap, w.reps);
+        let pgo = run(&w, ExecMode::Compiled);
         for (label, m) in [("compiled", &compiled), ("interp", &interp), ("pgo", &pgo)] {
             println!(
                 "{:>24} {:>9} {:>12.3} {:>12.0} {:>10} {:>12.2}",
@@ -529,6 +635,39 @@ fn main() {
             );
         }
     }
+    // §4.2 linearity of valid-trace analysis: recorded as measured, and
+    // `--check` refuses a record whose gate failed.
+    let lin_min_seconds = if quick { 0.1 } else { 0.5 };
+    let (lin_rows, lin_ratio) = valid_linearity(lin_min_seconds);
+    for r in &lin_rows {
+        println!(
+            "tp0-valid-{0}+{0}-FULL: {1} events, TE={2}, {3:.3} us/TE",
+            r.data, r.trace_len, r.te, r.us_per_te
+        );
+    }
+    let linearity_ok = lin_ratio <= LINEARITY_MAX_RATIO;
+    println!(
+        "valid linearity: {:.2}x us/TE at {} vs {} data (gate <= {}x: {})",
+        lin_ratio,
+        LINEARITY_SIZES[1],
+        LINEARITY_SIZES[0],
+        LINEARITY_MAX_RATIO,
+        if linearity_ok { "ok" } else { "FAILED" }
+    );
+    let lin_json = lin_rows
+        .iter()
+        .map(|r| {
+            format!(
+                "      {{\"data\": {}, \"trace_len\": {}, \"te\": {}, \"us_per_te\": {}}}",
+                r.data,
+                r.trace_len,
+                r.te,
+                json::number(r.us_per_te)
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
+
     let scale_json = scale_rows
         .iter()
         .map(|r| {
@@ -553,6 +692,10 @@ fn main() {
          \"recorder_overhead\": {{\"workload\": \"{}\", \
          \"on_nodes_per_sec\": {}, \"off_nodes_per_sec\": {}, \
          \"ratio\": {}, \"counters_match\": true}},\n  \
+         \"valid_linearity\": {{\"workload\": \"tp0-valid-FULL\", \"order\": \"FULL\", \
+         \"cores\": {}, \"min_seconds\": {}, \"passes\": 3, \
+         \"ratio_us_per_te\": {}, \"max_ratio\": {}, \"linearity_gate_ok\": {},\n    \
+         \"rows\": [\n{}\n    ]}},\n  \
          \"mdfs_scaling\": {{\"workload\": \"{}\", \"cores\": {}, \
          \"speedup_4_workers\": {}, \"counters_match\": true, \
          \"scaling_gate_ok\": true,\n    \"rows\": [\n{}\n    ]}},\n  \
@@ -562,6 +705,12 @@ fn main() {
         json::number(on_nps),
         json::number(off_nps),
         json::number(ratio),
+        cores,
+        json::number(lin_min_seconds),
+        json::number(lin_ratio),
+        json::number(LINEARITY_MAX_RATIO),
+        linearity_ok,
+        lin_json,
         json::escape(&scale_name),
         cores,
         json::number(speedup_4w),
@@ -580,6 +729,17 @@ fn main() {
             gate_speedups.iter().any(|(_, s)| *s >= 3.0),
             "acceptance gate: expected >=3x compiled+PGO speedup on a LAPD workload, got {:?}",
             gate_speedups
+        );
+        assert!(
+            linearity_ok,
+            "acceptance gate: valid TP0 FULL {}+{} costs {:.2}x the us per TE of {}+{} \
+             (at most {}x)",
+            LINEARITY_SIZES[1],
+            LINEARITY_SIZES[1],
+            lin_ratio,
+            LINEARITY_SIZES[0],
+            LINEARITY_SIZES[0],
+            LINEARITY_MAX_RATIO
         );
         assert!(
             ratio >= 0.95,

@@ -190,7 +190,7 @@ fn checkpoint_info_reports_fault_counters() {
     assert_eq!(info.status.code(), Some(0), "{}", stderr_of(&info));
     let text = stdout_of(&info);
     for needle in [
-        "format version: 5",
+        "format version: 6",
         "source faults: retries=0 giveups=0",
         "spill faults: retries=0 giveups=0",
         "checkpoint faults: retries=0 giveups=0",

@@ -165,7 +165,7 @@ impl TraceAnalyzer {
         let mut env = TraceEnv::new(self.module(), trace.clone(), options, false)?;
         let start = machine.initial_state()?;
         let outcome = run_dfs(&machine, &mut env, start, options, &mut stats, tel)?;
-        let mut report = report_from_outcome(outcome, stats, &trace);
+        let mut report = report_from_outcome(&machine, outcome, stats, &trace);
 
         // §2.4.1: on failure, "backtrack to the point right after the
         // initialize transition was taken, choose another initial FSM
@@ -186,7 +186,7 @@ impl TraceAnalyzer {
                 report.spill_faults.extend(outcome.spill_faults);
                 if outcome.verdict == Verdict::Valid {
                     report.verdict = Verdict::Valid;
-                    report.witness = outcome.witness;
+                    report.witness = outcome.witness.map(|p| p.names(&machine));
                     report.initial_state_used =
                         Some(self.module().state_name(sid).to_string());
                     break;
@@ -247,7 +247,7 @@ impl TraceAnalyzer {
         tel.begin("dfs", &self.module().module_name);
         let mut env = TraceEnv::new(self.module(), trace.clone(), options, false)?;
         let outcome = resume_dfs(&machine, &mut env, dfs, options, &mut stats, tel)?;
-        Ok(report_from_outcome(outcome, stats, &trace))
+        Ok(report_from_outcome(&machine, outcome, stats, &trace))
     }
 
     /// On-line analysis of a dynamic trace (§3): multi-threaded DFS with
@@ -344,21 +344,23 @@ impl TraceAnalyzer {
 }
 
 /// Assemble a report from a raw DFS outcome: failure localization for
-/// invalid traces, a resumable checkpoint for limit-stopped ones.
+/// invalid traces, a resumable checkpoint for limit-stopped ones. The
+/// search's paths become transition names here, once.
 fn report_from_outcome(
+    machine: &Machine,
     outcome: DfsOutcome,
     stats: SearchStats,
     trace: &ResolvedTrace,
 ) -> AnalysisReport {
     let mut report = AnalysisReport::new(outcome.verdict, stats);
-    report.witness = outcome.witness;
+    report.witness = outcome.witness.map(|p| p.names(machine));
     report.spec_errors = outcome.spec_errors;
     report.spill_faults = outcome.spill_faults;
     if report.verdict == Verdict::Invalid {
         report.best_effort = Some(crate::verdict::BestEffort {
             events_explained: outcome.best.0,
             events_total: outcome.total_events,
-            path: outcome.best.1,
+            path: outcome.best.1.names(machine),
         });
     }
     if let Some(dfs) = outcome.checkpoint {

@@ -42,12 +42,13 @@ use super::{Checkpoint, CheckpointBody, MdfsCheckpoint, MdfsNodeCkpt, MdfsWorker
 use crate::env::Cursors;
 use crate::search::dfs::{DfsCheckpoint, Frame};
 use crate::search::store::FxBuildHasher;
+use crate::search::SearchPath;
 use crate::stats::SearchStats;
 use crate::trace::{Dir, ResolvedEvent, ResolvedTrace};
 use estelle_ast::Span;
 use estelle_runtime::codec::{decode_state, decode_value, encode_state, encode_value};
 use estelle_runtime::{
-    ByteReader, ByteWriter, CodecError, Fireable, RuntimeError, RuntimeErrorKind,
+    ByteReader, ByteWriter, CodecError, Fireable, MachineState, RuntimeError, RuntimeErrorKind,
 };
 use crate::fault::{CheckpointFaultInjector, CheckpointWriteFault, RetryOutcome, RetryPolicy};
 use std::collections::HashSet;
@@ -71,7 +72,10 @@ pub const MAGIC: [u8; 8] = *b"TANGOCKP";
 /// to `META`, and the `MDFS` section for on-line checkpoints. Version 5
 /// dropped the `STATES` table: DFS frames carry their state inline, and
 /// no longer an intern key, a charged-byte count or a charges-state flag.
-pub const FORMAT_VERSION: u32 = 5;
+/// Version 6 encodes every path step (DFS path, DFS best path, MDFS node
+/// paths) as a `u32` compiled-transition index instead of a name — names
+/// are not unique (`<unnamed>`) — and drops the best-pending tag.
+pub const FORMAT_VERSION: u32 = 6;
 
 const SEC_META: u32 = 1;
 const SEC_TRACE: u32 = 2;
@@ -450,10 +454,10 @@ fn encode_spec_error(w: &mut ByteWriter, e: &RuntimeError) {
     }
 }
 
-fn encode_path(w: &mut ByteWriter, path: &[String]) {
+fn encode_path(w: &mut ByteWriter, path: &SearchPath) {
     w.put_u32(path.len() as u32);
-    for p in path {
-        w.put_str(p);
+    for t in path.indices() {
+        w.put_u32(t);
     }
 }
 
@@ -471,7 +475,9 @@ fn encode_dfs(dfs: &DfsCheckpoint) -> Vec<u8> {
             encode_fireable(&mut w, fr);
         }
         w.put_usize(f.next);
-        w.put_usize(f.path_len);
+        // A frame's path is a prefix of the search path: its length
+        // says which.
+        w.put_usize(f.path.len());
         w.put_usize(f.barren);
     }
     // Sorted for a deterministic encoding: the same checkpoint always
@@ -488,13 +494,6 @@ fn encode_dfs(dfs: &DfsCheckpoint) -> Vec<u8> {
     }
     w.put_usize(dfs.best.0);
     encode_path(&mut w, &dfs.best.1);
-    match dfs.best_pending_len {
-        None => w.put_u8(0),
-        Some(n) => {
-            w.put_u8(1);
-            w.put_usize(n);
-        }
-    }
     w.put_usize(dfs.total_events);
     w.put_usize(dfs.barren);
     w.put_bool(dfs.at_node);
@@ -853,11 +852,11 @@ fn decode_spec_error(r: &mut ByteReader<'_>) -> Result<RuntimeError, CodecError>
     })
 }
 
-fn decode_path(r: &mut ByteReader<'_>) -> Result<Vec<String>, CodecError> {
-    let n = r.get_u32("path length")? as usize;
-    let mut path = Vec::with_capacity(n.min(1024));
+fn decode_path(r: &mut ByteReader<'_>) -> Result<SearchPath, CodecError> {
+    let n = r.get_len(4, "path length")?;
+    let mut path = SearchPath::new();
     for _ in 0..n {
-        path.push(r.get_str("path step")?);
+        path.push(r.get_u32("path step")? as usize);
     }
     Ok(path)
 }
@@ -867,7 +866,8 @@ fn decode_dfs(r: &mut ByteReader<'_>) -> Result<DfsCheckpoint, CheckpointError> 
     let cursors = decode_cursors(r)?;
     let path = decode_path(r)?;
     let nframes = r.get_u32("frame count")? as usize;
-    let mut stack = Vec::with_capacity(nframes.min(1024));
+    let mut stack: Vec<Frame<MachineState>> = Vec::with_capacity(nframes.min(1024));
+    let mut prefix_lens = Vec::with_capacity(nframes.min(1024));
     for i in 0..nframes {
         let state = decode_state(r)?;
         let cursors = decode_cursors(r)?;
@@ -887,14 +887,32 @@ fn decode_dfs(r: &mut ByteReader<'_>) -> Result<DfsCheckpoint, CheckpointError> 
                 fireable.len()
             )));
         }
+        if path_len > path.len() || prefix_lens.last().is_some_and(|&outer| outer > path_len) {
+            return Err(CheckpointError::Malformed(format!(
+                "frame {} path length {} is not a prefix between its outer frame's and the \
+                 {}-step search path",
+                i,
+                path_len,
+                path.len()
+            )));
+        }
+        // The path is filled in below, once every length is known.
         stack.push(Frame {
             state,
             cursors,
             fireable,
             next,
-            path_len,
+            path: SearchPath::new(),
             barren,
         });
+        prefix_lens.push(path_len);
+    }
+    // Frames hold prefixes of the search path, outermost first: walk it
+    // back once from the leaf, handing each frame its shared prefix.
+    let mut prefix = path.clone();
+    for (f, &len) in stack.iter_mut().zip(&prefix_lens).rev() {
+        prefix.truncate(len);
+        f.path = prefix.clone();
     }
     let nv = r.get_len(8, "visited set")?;
     let mut visited: HashSet<u64, FxBuildHasher> =
@@ -909,16 +927,6 @@ fn decode_dfs(r: &mut ByteReader<'_>) -> Result<DfsCheckpoint, CheckpointError> 
     }
     let best_explained = r.get_usize("best explained")?;
     let best_path = decode_path(r)?;
-    let best_pending_len = match r.get_u8("best pending tag")? {
-        0 => None,
-        1 => Some(r.get_usize("best pending length")?),
-        other => {
-            return Err(CheckpointError::Malformed(format!(
-                "unknown best-pending tag {}",
-                other
-            )))
-        }
-    };
     let total_events = r.get_usize("total events")?;
     let barren = r.get_usize("barren count")?;
     let at_node = r.get_bool("at-node flag")?;
@@ -930,7 +938,6 @@ fn decode_dfs(r: &mut ByteReader<'_>) -> Result<DfsCheckpoint, CheckpointError> 
         visited,
         spec_errors,
         best: (best_explained, best_path),
-        best_pending_len,
         total_events,
         barren,
         at_node,

@@ -27,6 +27,7 @@ pub use codec::{CheckpointError, CheckpointInfo, FORMAT_VERSION, MAGIC};
 
 use crate::env::Cursors;
 use crate::search::dfs::DfsCheckpoint;
+use crate::search::SearchPath;
 use crate::stats::SearchStats;
 use crate::trace::ResolvedTrace;
 use estelle_runtime::MachineState;
@@ -95,7 +96,7 @@ pub(crate) struct MdfsNodeCkpt {
     /// Output-blocked transitions awaiting new data, sorted.
     pub(crate) blocked: Vec<usize>,
     pub(crate) barren: usize,
-    pub(crate) path: Vec<String>,
+    pub(crate) path: SearchPath,
 }
 
 impl MdfsCheckpoint {
@@ -205,8 +206,21 @@ impl Checkpoint {
             }
             Ok(())
         };
+        let check_path = |p: &SearchPath, what: &str| -> Result<(), String> {
+            let indices = p.indices();
+            match indices.iter().position(|&t| t as usize >= transition_count) {
+                Some(step) => Err(format!(
+                    "{} step {} references transition {} of {}",
+                    what, step, indices[step], transition_count
+                )),
+                None => Ok(()),
+            }
+        };
         match &self.body {
             CheckpointBody::Dfs(dfs) => {
+                // Frame paths are prefixes of the search path.
+                check_path(&dfs.path, "search path")?;
+                check_path(&dfs.best.1, "best path")?;
                 if dfs.state.control.0 >= state_count {
                     return Err(format!(
                         "checkpoint control state {} out of range ({} states)",
@@ -235,6 +249,7 @@ impl Checkpoint {
                         return Err(format!("node {} control state out of range", i));
                     }
                     check_cursors(&n.cursors, "node")?;
+                    check_path(&n.path, &format!("node {} path", i))?;
                     for &t in n.tried.iter().chain(n.blocked.iter()) {
                         if t >= transition_count {
                             return Err(format!(

@@ -24,10 +24,25 @@ use estelle_runtime::{InputSource, OutputSink, QueueHead, Value};
 
 /// Cursor state: the part of the environment saved and restored together
 /// with the machine state during backtracking (§2.3 "queue states").
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct Cursors {
     pub input: Vec<usize>,
     pub output: Vec<usize>,
+}
+
+impl Clone for Cursors {
+    fn clone(&self) -> Self {
+        Cursors {
+            input: self.input.clone(),
+            output: self.output.clone(),
+        }
+    }
+
+    /// Field-wise, so that a restore reuses both vectors' buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.input.clone_from(&source.input);
+        self.output.clone_from(&source.output);
+    }
 }
 
 impl Cursors {
@@ -149,7 +164,7 @@ impl TraceEnv {
 
     /// Restore a previously saved cursor state.
     pub fn restore(&mut self, saved: &Cursors) {
-        self.cursors = saved.clone();
+        self.cursors.clone_from(saved);
     }
 
     /// All inputs consumed and all checked outputs verified?
@@ -342,6 +357,25 @@ mod tests {
         // Without IP ordering both heads are visible.
         assert!(matches!(env.head(0), QueueHead::Message { .. }));
         assert!(matches!(env.head(1), QueueHead::Message { .. }));
+    }
+
+    #[test]
+    fn restore_reuses_the_cursor_buffers() {
+        let mut env = env_for(
+            vec![
+                Event::input("U", "req", vec![Value::Int(1)]),
+                Event::input("L", "pkt", vec![]),
+            ],
+            OrderOptions::none(),
+        );
+        let saved = env.save();
+        let (input, output) = (env.cursors.input.as_ptr(), env.cursors.output.as_ptr());
+        env.consume(0);
+        env.consume(1);
+        env.restore(&saved);
+        assert_eq!(env.cursors, saved);
+        assert_eq!(env.cursors.input.as_ptr(), input, "input cursors reallocated");
+        assert_eq!(env.cursors.output.as_ptr(), output, "output cursors reallocated");
     }
 
     #[test]

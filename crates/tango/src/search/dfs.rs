@@ -19,6 +19,12 @@
 //!   instead of O(state) — §3.2's dominant cost — and a frame's last
 //!   child takes its state back without any copy. Under `--max-mem` the
 //!   store interns identical snapshots and spills cold ones to disk;
+//! * the search path is a shared-prefix [`SearchPath`] of transition
+//!   indices: a step pushes one node, each frame keeps a handle on its
+//!   own prefix (a backtrack resets the path in O(1)), and recording the
+//!   best attempt is a handle clone. No step copies the path or builds a
+//!   transition name, so a valid trace that needs no deep backtracking is
+//!   analysed in time linear in its length (§4.2), not only in TE;
 //! * resource governance: a wall-clock deadline and a snapshot-memory
 //!   budget, checked cooperatively *before* each step mutates anything, so
 //!   that stopping on any limit freezes an exactly resumable
@@ -39,16 +45,16 @@ use std::time::Instant;
 
 use super::spill::SpillError;
 use super::store::{stamp_store, CarryBase, FxBuildHasher, ShardedStore, StoreHandle};
-use super::{guard, is_fatal, record_error};
+use super::{guard, is_fatal, record_error, SearchPath};
 
 /// Result of the raw search (before initial-state-search wrapping).
 #[derive(Debug)]
 pub struct DfsOutcome {
     pub verdict: Verdict,
-    pub witness: Option<Vec<String>>,
+    pub witness: Option<SearchPath>,
     pub spec_errors: Vec<RuntimeError>,
     /// The most-explaining attempt: (events consumed+verified, its path).
-    pub best: (usize, Vec<String>),
+    pub best: (usize, SearchPath),
     /// Checkable events in the trace (outstanding at search start).
     pub total_events: usize,
     /// Present when the verdict is `Inconclusive`: the frozen search,
@@ -68,7 +74,9 @@ pub(crate) struct Frame<S = StoreHandle> {
     pub(crate) cursors: crate::env::Cursors,
     pub(crate) fireable: Vec<Fireable>,
     pub(crate) next: usize,
-    pub(crate) path_len: usize,
+    /// The path to this node — a prefix of the current path, which a
+    /// backtrack to the frame resets to.
+    pub(crate) path: SearchPath,
     /// Consecutive barren steps on the path up to this node.
     pub(crate) barren: usize,
 }
@@ -80,12 +88,11 @@ pub(crate) struct Frame<S = StoreHandle> {
 pub struct DfsCheckpoint {
     pub(crate) state: MachineState,
     pub(crate) cursors: crate::env::Cursors,
-    pub(crate) path: Vec<String>,
+    pub(crate) path: SearchPath,
     pub(crate) stack: Vec<Frame<MachineState>>,
     pub(crate) visited: HashSet<u64, FxBuildHasher>,
     pub(crate) spec_errors: Vec<RuntimeError>,
-    pub(crate) best: (usize, Vec<String>),
-    pub(crate) best_pending_len: Option<usize>,
+    pub(crate) best: (usize, SearchPath),
     pub(crate) total_events: usize,
     pub(crate) barren: usize,
     pub(crate) at_node: bool,
@@ -170,19 +177,14 @@ fn search(
     tel: &mut Telemetry,
 ) -> Result<DfsOutcome, TangoError> {
     let mut state;
-    let mut path: Vec<String>;
+    let mut path: SearchPath;
     let mut stack: Vec<Frame>;
     let mut visited: HashSet<u64, FxBuildHasher>;
     let mut spec_errors: Vec<RuntimeError>;
     let total_events;
-    // Failure localization: the attempt that explained the most events.
-    let mut best: (usize, Vec<String>);
-    // `Some(len)`: `best` was recorded on the first, never-backtracked
-    // attempt without cloning the path (the common valid-trace case stays
-    // O(n)); the first `len` path entries are materialized into `best.1`
-    // lazily, at the first backtrack or at an `Invalid` return — whichever
-    // comes first, while the virgin path is still intact.
-    let mut best_pending_len: Option<usize>;
+    // Failure localization: the attempt that explained the most events
+    // (a handle on its path, so recording it is O(1)).
+    let mut best: (usize, SearchPath);
     // Consecutive steps without observable progress on the current path.
     let mut barren: usize;
     // `true`: we just arrived at a (possibly new) node and must expand it;
@@ -213,7 +215,7 @@ fn search(
                 verdict: Verdict::Inconclusive(InconclusiveReason::SpillFailure),
                 witness: None,
                 spec_errors: Vec::new(),
-                best: (0, Vec::new()),
+                best: (0, SearchPath::new()),
                 total_events,
                 checkpoint,
                 spill_faults: vec![e.to_string()],
@@ -231,13 +233,12 @@ fn search(
     match init {
         Init::Fresh(s) => {
             state = s;
-            path = Vec::new();
+            path = SearchPath::new();
             stack = Vec::new();
             visited = HashSet::default();
             spec_errors = Vec::new();
             total_events = env.outstanding();
-            best = (0, Vec::new());
-            best_pending_len = None;
+            best = (0, SearchPath::new());
             barren = 0;
             at_node = true;
         }
@@ -256,7 +257,7 @@ fn search(
                     cursors: f.cursors,
                     fireable: f.fireable,
                     next: f.next,
-                    path_len: f.path_len,
+                    path: f.path,
                     barren: f.barren,
                 })
                 .collect();
@@ -264,7 +265,6 @@ fn search(
             spec_errors = cp.spec_errors;
             total_events = cp.total_events;
             best = cp.best;
-            best_pending_len = cp.best_pending_len;
             barren = cp.barren;
             at_node = cp.at_node;
         }
@@ -307,13 +307,7 @@ fn search(
         if at_node {
             let explained = total_events - env.outstanding();
             if explained > best.0 {
-                best.0 = explained;
-                if stats.restores > 0 {
-                    best.1 = path.clone();
-                    best_pending_len = None;
-                } else {
-                    best_pending_len = Some(path.len());
-                }
+                best = (explained, path.clone());
             }
             if env.all_done() {
                 return Ok(DfsOutcome {
@@ -378,7 +372,7 @@ fn search(
                     cursors: env.save(),
                     fireable: std::mem::take(&mut gen.fireable),
                     next: 1,
-                    path_len: path.len(),
+                    path: path.clone(),
                     barren,
                 });
             }
@@ -395,17 +389,12 @@ fn search(
                         tel.on_prune(path.len(), PruneKind::Barren);
                         at_node = false;
                     } else {
-                        path.push(machine.transition_name(first.trans).to_string());
+                        path.push(first.trans);
                     }
                 }
                 false => at_node = false,
             }
         } else {
-            // About to abandon the current attempt: if the best attempt so
-            // far is the still-intact virgin path, materialize it now.
-            if let Some(len) = best_pending_len.take() {
-                best.1 = path[..len].to_vec();
-            }
             // Backtrack to the nearest frame with untried children.
             let Some(top) = stack.last_mut() else {
                 return Ok(DfsOutcome {
@@ -429,13 +418,13 @@ fn search(
             let (f, restored) = if top.next == top.fireable.len() - 1 {
                 let frame = stack.pop().expect("stack non-empty");
                 env.restore(&frame.cursors);
-                path.truncate(frame.path_len);
+                path = frame.path;
                 barren = frame.barren;
                 (frame.fireable[frame.next].clone(), store.take(frame.state))
             } else {
                 top.next += 1;
                 env.restore(&top.cursors);
-                path.truncate(top.path_len);
+                path = top.path.clone();
                 barren = top.barren;
                 (top.fireable[top.next - 1].clone(), store.materialize(top.state))
             };
@@ -462,7 +451,7 @@ fn search(
                         tel.on_prune(path.len(), PruneKind::Barren);
                         // stay backtracking
                     } else {
-                        path.push(machine.transition_name(f.trans).to_string());
+                        path.push(f.trans);
                         at_node = true;
                     }
                 }
@@ -486,7 +475,7 @@ fn search(
                     cursors: f.cursors,
                     fireable: f.fireable,
                     next: f.next,
-                    path_len: f.path_len,
+                    path: f.path,
                     barren: f.barren,
                 })
             })
@@ -500,7 +489,6 @@ fn search(
                 visited,
                 spec_errors: spec_errors.clone(),
                 best: best.clone(),
-                best_pending_len,
                 total_events,
                 barren,
                 at_node,

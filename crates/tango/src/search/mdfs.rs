@@ -22,7 +22,11 @@
 //!   into fully generated ones, and forces a conclusive verdict;
 //! * an output that cannot be matched *yet* (its stream may still grow)
 //!   does not count as explored, so the branch is retried later — the
-//!   output-side dual of an incomplete transition list.
+//!   output-side dual of an incomplete transition list;
+//! * each node's path is a shared-prefix [`SearchPath`] of transition
+//!   indices: a child's path is one push onto its parent's and a
+//!   duplicated node shares its handle, so no expansion copies a path;
+//!   the witness becomes transition names once, in the report.
 //!
 //! # One engine, N workers (DESIGN §6.13)
 //!
@@ -84,7 +88,7 @@ use std::time::{Duration, Instant};
 
 use super::spill::SpillError;
 use super::store::{stamp_store, CarryBase, ShardedStore, StoreHandle};
-use super::{guard, is_fatal, record_error, MAX_RECORDED_ERRORS};
+use super::{guard, is_fatal, record_error, SearchPath, MAX_RECORDED_ERRORS};
 
 /// How long an idle thief sleeps before re-scanning the deques.
 const IDLE_PARK: Duration = Duration::from_micros(100);
@@ -105,7 +109,9 @@ const FLUSH_EVERY_POPS: u32 = 64;
 /// so sorting parked nodes by their park label `key ++ [step]`
 /// reproduces the one-worker park order no matter which worker parked
 /// them. A one-worker burst parks in that order anyway and keeps no
-/// labels.
+/// labels. A key is a path of pop steps, so it is kept in the same
+/// shared-prefix [`SearchPath`] as the node's transition path: a child's
+/// key is one push onto its parent's.
 struct PNode {
     handle: StoreHandle,
     cursors: Cursors,
@@ -117,13 +123,15 @@ struct PNode {
     blocked: HashSet<usize>,
     /// Consecutive barren steps on the path to this node.
     barren: usize,
-    path: Vec<String>,
-    key: Vec<u32>,
+    /// Transitions fired from the root to this node; shares its prefix
+    /// with the parent's and the siblings' paths.
+    path: SearchPath,
+    key: SearchPath,
     step: u32,
 }
 
 impl PNode {
-    fn new(handle: StoreHandle, cursors: Cursors, barren: usize, path: Vec<String>) -> Self {
+    fn new(handle: StoreHandle, cursors: Cursors, barren: usize, path: SearchPath) -> Self {
         PNode {
             handle,
             cursors,
@@ -131,7 +139,7 @@ impl PNode {
             blocked: HashSet::new(),
             barren,
             path,
-            key: Vec::new(),
+            key: SearchPath::new(),
             step: 0,
         }
     }
@@ -146,7 +154,7 @@ impl PNode {
             blocked: self.blocked.clone(),
             barren: self.barren,
             path: self.path.clone(),
-            key: Vec::new(),
+            key: SearchPath::new(),
             step: 0,
         }
     }
@@ -222,7 +230,7 @@ enum WEvent {
 /// lost either way).
 enum StopCause {
     /// A valid leaf was found post-eof; carries its path.
-    Witness(Vec<String>),
+    Witness(SearchPath),
     /// A resource limit tripped; the surviving front is checkpointed.
     Limit(InconclusiveReason),
     /// A fatal runtime error (engine bug class) — propagated as `Err`.
@@ -322,7 +330,7 @@ struct Tally {
 /// How a run ended.
 struct Outcome {
     verdict: Verdict,
-    witness: Option<Vec<String>>,
+    witness: Option<SearchPath>,
     /// The frozen front (limit stops only).
     checkpoint: Option<MdfsCheckpoint>,
 }
@@ -475,7 +483,7 @@ fn run(
             Outcome::of(Verdict::Inconclusive(InconclusiveReason::SpillFailure))
         }
     };
-    Ok(finish(outcome, tally, &*source, t0, base_wall, options, &env.trace, tel))
+    Ok(finish(&machine, outcome, tally, &*source, t0, base_wall, options, &env.trace, tel))
 }
 
 /// Terminal bookkeeping of one MDFS run: stamp the elapsed time and the
@@ -483,9 +491,11 @@ fn run(
 /// busy/idle(/steal) splits into the metrics registry (idle-poll and
 /// steal-scan time is not search time), emit the verdict event and the
 /// final heartbeat, attach the frozen checkpoint (limit stops only),
-/// then assemble the report.
+/// then assemble the report — the one place a witness path becomes
+/// transition names.
 #[allow(clippy::too_many_arguments)]
 fn finish(
+    machine: &Machine,
     outcome: Outcome,
     tally: Tally,
     source: &dyn TraceSource,
@@ -516,7 +526,7 @@ fn finish(
     }
     tel.on_verdict(&outcome.verdict, &stats, options.limits.max_transitions);
     let mut r = AnalysisReport::new(outcome.verdict, stats);
-    r.witness = outcome.witness;
+    r.witness = outcome.witness.map(|p| p.names(machine));
     r.spec_errors = spec_errors;
     r.source_faults = source.diagnostics();
     r.spill_faults = spill_faults;
@@ -583,7 +593,7 @@ fn search(
             if tel.hot() {
                 tel.on_save(0, h.state_bytes, false, store.resident_bytes());
             }
-            work.push(PNode::new(h, env.save(), 0, Vec::new()));
+            work.push(PNode::new(h, env.save(), 0, SearchPath::new()));
         }
         Some((wseeds, pseeds)) => {
             work.extend(wseeds.into_iter().map(|c| PNode::thaw(store, c)));
@@ -853,9 +863,9 @@ fn burst(
     // earliest input first.
     for (j, mut node) in inputs.into_iter().rev().enumerate() {
         let i = n_inputs - 1 - j;
-        node.key.clear();
+        node.key = SearchPath::new();
         if sh.labelled {
-            node.key.push(i as u32);
+            node.key.push(i);
         }
         node.step = 0;
         sh.push(i % n, node);
@@ -1054,8 +1064,7 @@ fn burst_worker(
         let park_label = |node: &PNode| {
             let mut label = Vec::new();
             if sh.labelled {
-                label.reserve(node.key.len() + 1);
-                label.extend_from_slice(&node.key);
+                label = node.key.indices();
                 label.push(s);
             }
             label
@@ -1219,31 +1228,26 @@ fn burst_worker(
             } else {
                 node.barren + 1
             };
-            let mut child_path = node.path.clone();
-            child_path.push(machine.transition_name(f.trans).to_string());
+            let depth = node.path.len() + 1;
             if child_barren > options.limits.max_barren_steps {
                 out.delta.barren_prunes += 1;
                 if events {
-                    ebuf.push(WEvent::Prune {
-                        depth: child_path.len(),
-                    });
+                    ebuf.push(WEvent::Prune { depth });
                 }
             } else {
                 out.delta.saves += 1;
                 let (h, interned) = store.save(child_state);
                 if events {
                     ebuf.push(WEvent::Save {
-                        depth: child_path.len(),
+                        depth,
                         bytes: if interned { 0 } else { h.state_bytes },
                         interned,
                         resident: store.resident_bytes(),
                     });
                 }
-                let mut c = PNode::new(h, env.save(), child_barren, child_path);
+                let mut c = PNode::new(h, env.save(), child_barren, node.path.child(f.trans));
                 if sh.labelled {
-                    c.key.reserve(node.key.len() + 1);
-                    c.key.extend_from_slice(&node.key);
-                    c.key.push(s);
+                    c.key = node.key.child(s as usize);
                 }
                 // Count the child before it becomes visible so `pending`
                 // can never dip to zero while work remains.

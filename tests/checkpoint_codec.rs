@@ -9,7 +9,7 @@
 
 use protocols::tp0;
 use std::path::PathBuf;
-use tango::{AnalysisOptions, Checkpoint, CheckpointError, Verdict};
+use tango::{AnalysisOptions, Checkpoint, CheckpointError, TangoError, Verdict};
 
 fn temp_file(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -105,10 +105,11 @@ fn wrong_magic_is_a_typed_error() {
 #[test]
 fn future_version_is_refused_not_misread() {
     let (_, mut bytes, path) = checkpoint_bytes("version");
-    // A far-future version, and v4 — the last layout with a `STATES`
-    // table, which this build no longer reads. The version field sits
-    // right after the 8-byte magic.
-    for version in [999u32, 4] {
+    // A far-future version; v4, the last layout with a `STATES` table;
+    // and v5, the last one with transition names as path steps — neither
+    // of which this build reads. The version field sits right after the
+    // 8-byte magic.
+    for version in [999u32, 4, 5] {
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         match Checkpoint::read_from(&path) {
@@ -239,6 +240,61 @@ fn resume_refuses_a_checkpoint_from_a_different_specification() {
         "error should point at the resume validation: {}",
         err
     );
+}
+
+/// A path step is a compiled-transition index, so a checkpoint whose
+/// path names a transition the resuming specification does not have is
+/// refused by the resume cross-check, not indexed out of range.
+#[test]
+fn resume_refuses_a_path_step_past_the_transition_count() {
+    // `tb` (index 1) is the only transition that explains the trace, so
+    // every stop below has it on its search path.
+    let spec = |trans: &str| {
+        format!(
+            "specification pick;
+            channel C(env, m); by env: req(n : integer); by m: rsp(n : integer); end;
+            module M process; ip P : C(m); end;
+            body MB for M;
+                state S;
+                initialize to S begin end;
+                trans {}
+            end;
+            end.",
+            trans
+        )
+    };
+    let ta = "from S to S when P.req name ta: begin output P.rsp(n + 1) end;";
+    let tb = "from S to S when P.req name tb: begin output P.rsp(n + 2) end;";
+    let two = tango::Tango::generate(&spec(&format!("{} {}", ta, tb))).unwrap();
+    let one = tango::Tango::generate(&spec(ta)).unwrap();
+    let trace = tango::parse_trace(&"in P.req(1)\nout P.rsp(3)\n".repeat(4), None).unwrap();
+    let mut limited = AnalysisOptions::default();
+    limited.limits.max_transitions = 3;
+    let stopped = two.analyze(&trace, &limited).unwrap();
+    assert!(matches!(stopped.verdict, Verdict::Inconclusive(_)));
+    let path = temp_file("path-index");
+    stopped
+        .checkpoint
+        .expect("limit stop checkpoints")
+        .write_to(&path)
+        .unwrap();
+
+    let cp = Checkpoint::read_from(&path).unwrap();
+    match one.analyze_resume(cp, &AnalysisOptions::default()) {
+        Err(TangoError::Env(e)) => assert!(
+            e.to_string().contains("path step") && e.to_string().contains("transition 1 of 1"),
+            "error should name the out-of-range path step: {}",
+            e
+        ),
+        other => panic!(
+            "out-of-range path step must be refused, got {:?}",
+            other.map(|r| r.verdict)
+        ),
+    }
+    // The specification it was written by resumes it.
+    let cp = Checkpoint::read_from(&path).unwrap();
+    let r = two.analyze_resume(cp, &AnalysisOptions::default()).unwrap();
+    assert_eq!(r.verdict, Verdict::Valid);
 }
 
 /// Independently parse the file structure: `(section name, payload
