@@ -233,14 +233,14 @@ impl TraceAnalyzer {
             .exec_view(options.exec_mode);
         checkpoint
             .validate_against(self.module(), self.machine.module.transition_count())
-            .map_err(|m| TangoError::Env(crate::env::EnvError(format!("resume: {}", m))))?;
+            .map_err(TangoError::Resume)?;
         let Checkpoint { body, trace, stats } = checkpoint;
         let dfs = match body {
             CheckpointBody::Dfs(dfs) => dfs,
             CheckpointBody::Mdfs(_) => {
-                return Err(TangoError::Env(crate::env::EnvError(
-                    "resume: on-line (MDFS) checkpoint — use analyze_online_resume".into(),
-                )))
+                return Err(TangoError::Resume(
+                    "on-line (MDFS) checkpoint — use analyze_online_resume".into(),
+                ))
             }
         };
         let mut stats = stats;
@@ -303,20 +303,20 @@ impl TraceAnalyzer {
     ) -> Result<AnalysisReport, TangoError> {
         checkpoint
             .validate_against(self.module(), self.machine.module.transition_count())
-            .map_err(|m| TangoError::Env(crate::env::EnvError(format!("resume: {}", m))))?;
+            .map_err(TangoError::Resume)?;
         let Checkpoint { body, trace, stats } = checkpoint;
         let mdfs = match body {
             CheckpointBody::Mdfs(m) => m,
             CheckpointBody::Dfs(_) => {
-                return Err(TangoError::Env(crate::env::EnvError(
-                    "resume: static (DFS) checkpoint — use analyze_resume".into(),
-                )))
+                return Err(TangoError::Resume(
+                    "static (DFS) checkpoint — use analyze_resume".into(),
+                ))
             }
         };
         if !mdfs.eof {
-            return Err(TangoError::Env(crate::env::EnvError(
-                "resume: only eof-reached on-line checkpoints are resumable".into(),
-            )));
+            return Err(TangoError::Resume(
+                "only eof-reached on-line checkpoints are resumable".into(),
+            ));
         }
         tel.begin("mdfs", &self.module().module_name);
         crate::search::mdfs::resume_mdfs(

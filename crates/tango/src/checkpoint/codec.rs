@@ -260,18 +260,56 @@ impl Checkpoint {
 
 // ---------------------------------------------------------------- CRC32
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the classic
-/// bitwise formulation; checkpoint I/O is nowhere near hot enough to
-/// justify a table. Shared with the spill-segment format, which
-/// checksums each record payload with the same function.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = u32::MAX;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Slice-by-8 lookup tables for [`crc32`], built at compile time:
+/// `CRC_TABLES[0][b]` is the CRC of byte `b`, and `CRC_TABLES[k][b]` the
+/// CRC of byte `b` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven
+/// eight bytes at a time. Checkpoints and dumps checksum every section,
+/// and the spill tier checksums every record it writes and reads back.
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = u32::MAX;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -1045,6 +1083,36 @@ mod tests {
     fn crc32_check_vector() {
         // The classic CRC-32/IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The bitwise definition the tables are derived from.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = u32::MAX;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_reference_on_random_lengths() {
+        // SplitMix64: random lengths (every remainder mod 8) and bytes.
+        let mut seed = 0x5EED_u64;
+        let mut next = || {
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for _ in 0..500 {
+            let len = (next() % 1100) as usize;
+            let bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "len {}", len);
+        }
     }
 
     #[test]

@@ -17,6 +17,9 @@ pub enum TangoError {
     TraceResolve(TraceResolveError),
     /// Bad option/trace combination.
     Env(EnvError),
+    /// A checkpoint that does not fit the resuming analysis: written by
+    /// another specification or search mode, or not resumable at all.
+    Resume(String),
     /// A fatal runtime error (interpreter bug or exceeded hard limits).
     Runtime(RuntimeError),
     /// Implementation-generation mode failed (script/spec mismatch).
@@ -30,6 +33,7 @@ impl fmt::Display for TangoError {
             TangoError::TraceParse(e) => write!(f, "{}", e),
             TangoError::TraceResolve(e) => write!(f, "{}", e),
             TangoError::Env(e) => write!(f, "option error: {}", e),
+            TangoError::Resume(m) => write!(f, "cannot resume checkpoint: {}", m),
             TangoError::Runtime(e) => write!(f, "{}", e),
             TangoError::Generator(m) => write!(f, "implementation generation: {}", m),
         }

@@ -253,7 +253,7 @@ fn search(
                 .stack
                 .into_iter()
                 .map(|f| Frame {
-                    state: store.save(f.state).0,
+                    state: store.save(0, f.state).0,
                     cursors: f.cursors,
                     fireable: f.fireable,
                     next: f.next,
@@ -362,7 +362,7 @@ fn search(
             let first = gen.fireable[0].clone();
             if gen.fireable.len() > 1 {
                 stats.saves += 1;
-                let (handle, interned) = store.save(state.snapshot());
+                let (handle, interned) = store.save(0, state.snapshot());
                 if tel.hot() {
                     let charged = if interned { 0 } else { handle.state_bytes };
                     tel.on_save(path.len(), charged, interned, store.resident_bytes());

@@ -36,9 +36,11 @@
 //! work-stealing deques (owner pops LIFO, thieves steal FIFO from the
 //! top, round-robin scan, short parks when every deque is empty). Worker
 //! 0 runs on the coordinator thread; only workers 1..N−1 are spawned.
-//! Node snapshots live in the [`ShardedStore`]. `workers = 1` (the
-//! default) is the degenerate case: one worker, one deque, one store
-//! shard, no thread spawned — the classic single-consumer MDFS loop.
+//! Node snapshots live in the [`ShardedStore`], one shard per worker:
+//! a worker saves into its own shard and evicts only from it, within its
+//! share of the memory budget. `workers = 1` (the default) is the
+//! degenerate case: one worker, one deque, one store shard, no thread
+//! spawned — the classic single-consumer MDFS loop.
 //!
 //! Determinism: within a burst the trace is frozen, so each node's
 //! expansion is a pure function of (state, cursors, trace) and the search
@@ -63,8 +65,11 @@
 //! wedging silently; the snapshot-memory budget covers work + PG nodes.
 //! Limit stops additionally freeze the surviving search front into an
 //! [`MdfsCheckpoint`] (worker deques + parked nodes + prior PG-list) so
-//! eof-reached runs can resume — at any worker count. Whatever the
-//! verdict, [`TraceSource::diagnostics`] is folded into
+//! eof-reached runs can resume — at any worker count. A limit stop in an
+//! N-worker post-eof burst instead freezes that burst's input nodes with
+//! the counters from before it (the witness re-run's restart point):
+//! its racing front, resumed, would run past the sequential witness.
+//! Whatever the verdict, [`TraceSource::diagnostics`] is folded into
 //! [`AnalysisReport::source_faults`] so feed-level faults (parse errors,
 //! truncation, a dead feeder) survive into the report.
 
@@ -159,9 +164,9 @@ impl PNode {
         }
     }
 
-    /// Thaw a checkpointed node into the store.
-    fn thaw(store: &ShardedStore, c: MdfsNodeCkpt) -> Self {
-        let mut n = PNode::new(store.save(c.state).0, c.cursors, c.barren, c.path);
+    /// Thaw a checkpointed node into worker `owner`'s store shard.
+    fn thaw(store: &ShardedStore, owner: usize, c: MdfsNodeCkpt) -> Self {
+        let mut n = PNode::new(store.save(owner, c.state).0, c.cursors, c.barren, c.path);
         n.tried = c.tried.into_iter().collect();
         n.blocked = c.blocked.into_iter().collect();
         n
@@ -333,6 +338,9 @@ struct Outcome {
     witness: Option<SearchPath>,
     /// The frozen front (limit stops only).
     checkpoint: Option<MdfsCheckpoint>,
+    /// The counters the checkpoint resumes from, when they are not the
+    /// report's (a post-eof N-worker burst restarts from its inputs).
+    resume_stats: Option<SearchStats>,
 }
 
 impl Outcome {
@@ -341,6 +349,7 @@ impl Outcome {
             verdict,
             witness: None,
             checkpoint: None,
+            resume_stats: None,
         }
     }
 }
@@ -511,9 +520,13 @@ fn finish(
         spill_faults,
         clocks,
     } = tally;
-    stats.wall_time = base_wall + t0.elapsed();
-    stats.source_retries += source.fault_retries();
-    stats.source_giveups += source.fault_giveups();
+    let wall_time = base_wall + t0.elapsed();
+    let mut resume_stats = outcome.resume_stats;
+    for s in std::iter::once(&mut stats).chain(resume_stats.as_mut()) {
+        s.wall_time = wall_time;
+        s.source_retries += source.fault_retries();
+        s.source_giveups += source.fault_giveups();
+    }
     if let Some(m) = tel.metrics_mut() {
         for (i, c) in clocks.iter().enumerate() {
             m.set_gauge(&format!("mdfs.worker{}.busy_seconds", i), c.busy.as_secs_f64());
@@ -534,7 +547,7 @@ fn finish(
         Box::new(Checkpoint {
             body: CheckpointBody::Mdfs(m),
             trace: trace.clone(),
-            stats: r.stats.clone(),
+            stats: resume_stats.unwrap_or_else(|| r.stats.clone()),
         })
     });
     r
@@ -589,15 +602,17 @@ fn search(
         None => {
             let start = cx.machine.initial_state()?;
             tally.stats.saves += 1;
-            let (h, _) = store.save(start);
+            let (h, _) = store.save(0, start);
             if tel.hot() {
                 tel.on_save(0, h.state_bytes, false, store.resident_bytes());
             }
             work.push(PNode::new(h, env.save(), 0, SearchPath::new()));
         }
         Some((wseeds, pseeds)) => {
-            work.extend(wseeds.into_iter().map(|c| PNode::thaw(store, c)));
-            pg_list.extend(pseeds.into_iter().map(|c| PNode::thaw(store, c)));
+            // Spread the thawed front over the worker shards.
+            let thaw = |(i, c)| PNode::thaw(store, i % cx.workers, c);
+            work.extend(wseeds.into_iter().enumerate().map(thaw));
+            pg_list.extend(pseeds.into_iter().enumerate().map(thaw));
         }
     }
     stamp_store(&mut tally.stats, &cx.carry, store);
@@ -705,6 +720,10 @@ fn run_burst(
     });
     let pg0 = pg_list.len();
     let mut end = burst(cx, tel, env, &tally.stats, inputs, pg0, cx.workers, true);
+    // A limit stop in such a burst checkpoints the burst's inputs with
+    // the counters from before it: resuming the racing front would
+    // finish the search past the sequential first witness.
+    let mut restart = None;
     match replay {
         Some((seeds, stats, spec_errors)) if matches!(end.stop, Some(StopCause::Witness(_))) => {
             // Discard the burst's deltas and front; keep the honest clocks.
@@ -715,6 +734,9 @@ fn run_burst(
             tally.stats = stats;
             tally.spec_errors = spec_errors;
             end = burst(cx, tel, env, &tally.stats, seeds, pg0, 1, false);
+        }
+        Some((seeds, stats, _)) if matches!(end.stop, Some(StopCause::Limit(_))) => {
+            restart = Some((seeds, stats));
         }
         Some((seeds, ..)) => seeds.into_iter().for_each(|n| store.release(n.handle)),
         None => {}
@@ -746,23 +768,34 @@ fn run_burst(
             ..Outcome::of(Verdict::Valid)
         })),
         Some(StopCause::Limit(reason)) => {
+            let mut resume_stats = None;
             let checkpoint = if matches!(reason, InconclusiveReason::SpillFailure) {
                 tally.spill_faults.extend(store.take_fault().map(|f| f.to_string()));
                 None
             } else {
-                let fronts = end
-                    .deques
-                    .into_iter()
-                    .zip(parked)
-                    .map(|(dq, p)| {
-                        let deque = dq.into_inner().expect("deque lock");
-                        (deque.into(), p.into_iter().map(|(_, n)| n).collect())
-                    })
-                    .collect();
+                let fronts = match restart {
+                    Some((mut seeds, mut stats)) => {
+                        stamp_store(&mut stats, &cx.carry, store);
+                        resume_stats = Some(stats);
+                        seeds.reverse(); // deque order: bottom to top
+                        let idle = (1..cx.workers).map(|_| (Vec::new(), Vec::new()));
+                        std::iter::once((seeds, Vec::new())).chain(idle).collect()
+                    }
+                    None => end
+                        .deques
+                        .into_iter()
+                        .zip(parked)
+                        .map(|(dq, p)| {
+                            let deque = dq.into_inner().expect("deque lock");
+                            (deque.into(), p.into_iter().map(|(_, n)| n).collect())
+                        })
+                        .collect(),
+                };
                 freeze(store, fronts, pg_list, env.eof, &mut tally.spill_faults)
             };
             Ok(Some(Outcome {
                 checkpoint,
+                resume_stats,
                 ..Outcome::of(Verdict::Inconclusive(reason))
             }))
         }
@@ -1236,7 +1269,7 @@ fn burst_worker(
                 }
             } else {
                 out.delta.saves += 1;
-                let (h, interned) = store.save(child_state);
+                let (h, interned) = store.save(widx, child_state);
                 if events {
                     ebuf.push(WEvent::Save {
                         depth,

@@ -58,7 +58,8 @@ use estelle_runtime::{ByteReader, ByteWriter, MachineState};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -235,7 +236,7 @@ impl SpillDir for FsSpillDir {
             .create(true)
             .truncate(false)
             .open(self.segment_path(id))?;
-        Ok(Box::new(FsSegment { file }))
+        Ok(Box::new(FsSegment::new(file)?))
     }
 
     fn open_segment(&mut self, id: u32) -> io::Result<Box<dyn SpillMedium>> {
@@ -243,7 +244,7 @@ impl SpillDir for FsSpillDir {
             .read(true)
             .write(true)
             .open(self.segment_path(id))?;
-        Ok(Box::new(FsSegment { file }))
+        Ok(Box::new(FsSegment::new(file)?))
     }
 
     fn list_segments(&mut self) -> io::Result<Vec<u32>> {
@@ -265,19 +266,38 @@ impl SpillDir for FsSpillDir {
     }
 }
 
+/// One segment file. Records move with positioned I/O — one syscall
+/// per record, no seek — and appends go to the cached end-of-file.
 struct FsSegment {
     file: fs::File,
+    end: u64,
+}
+
+impl FsSegment {
+    fn new(file: fs::File) -> io::Result<Self> {
+        let end = file.metadata()?.len();
+        Ok(FsSegment { file, end })
+    }
 }
 
 impl SpillMedium for FsSegment {
     fn append(&mut self, data: &[u8]) -> io::Result<()> {
-        self.file.seek(SeekFrom::End(0))?;
-        self.file.write_all(data)
+        match self.file.write_all_at(data, self.end) {
+            Ok(()) => {
+                self.end += data.len() as u64;
+                Ok(())
+            }
+            Err(e) => {
+                // A partial write may have grown the file: append after
+                // whatever landed, as a seek to the end would.
+                self.end = self.file.metadata().map_or(self.end, |m| m.len());
+                Err(e)
+            }
+        }
     }
 
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        self.file.seek(SeekFrom::Start(offset))?;
-        self.file.read_exact(buf)
+        self.file.read_exact_at(buf, offset)
     }
 
     fn len(&mut self) -> io::Result<u64> {
@@ -285,7 +305,9 @@ impl SpillMedium for FsSegment {
     }
 
     fn truncate(&mut self, len: u64) -> io::Result<()> {
-        self.file.set_len(len)
+        self.file.set_len(len)?;
+        self.end = len;
+        Ok(())
     }
 }
 
@@ -875,7 +897,10 @@ pub fn verify_segment_file(path: &Path) -> Result<Vec<SpillTicket>, SpillError> 
             context: format!("opening spill segment {}", path.display()),
             error,
         })?;
-    let mut medium = FsSegment { file };
+    let mut medium = FsSegment::new(file).map_err(|error| SpillError::Io {
+        context: format!("opening spill segment {}", path.display()),
+        error,
+    })?;
     let (records, note) = scan_medium(&mut medium, 0, true)?;
     debug_assert!(note.is_none(), "strict scans error instead of noting");
     Ok(records

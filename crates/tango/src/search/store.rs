@@ -9,35 +9,39 @@
 //! it back out the same way, and the last reference *takes* the state
 //! without any copy.
 //!
-//! The store shards its slots to keep N MDFS workers off one lock: each
-//! shard is its own mutex guarding its own slot slab, intern chains,
-//! LRU clock queue and spill tier. One thread searching gets one shard
-//! (and its spill segments sit at the spill-directory root); N workers
-//! get [`SHARD_COUNT`] shards (segments under `shard{i:02}/`).
+//! The store has one shard per searching thread, and each shard is
+//! owned by one worker: its own mutex guarding its own slot slab,
+//! intern chains, LRU queue with its own logical clock, and spill tier.
+//! A worker's saves go into its own shard, so N MDFS workers do not
+//! share a lock except when one restores a node it stole from another.
+//! The DFS and a one-worker MDFS get one shard (its spill segments sit
+//! at the spill-directory root); N workers get N shards (segments under
+//! `shard{i:02}/`).
 //!
 //! Memory pressure changes the save path. Without a byte budget and a
 //! spill tier nothing can ever be evicted, so a save skips hashing,
 //! interning and the LRU entirely. Under a budget each save is keyed by
 //! a fast content hash of (control state, globals, heap) — trace
-//! cursors excluded — and the shard is the key's top bits; an identical
-//! resident snapshot is *interned* (one slot, one charge) instead of
-//! stored twice.
+//! cursors excluded — and an identical snapshot already resident in
+//! the saving worker's shard is *interned* (one slot, one charge)
+//! instead of stored twice.
 //!
-//! Residency accounting is atomic and global: the `resident`/`spilled`
-//! byte gauges and their high-water marks are plain atomics updated
-//! under the owning shard's lock, readable lock-free from any worker
-//! (the memory-budget check) and from the coordinator (heartbeats).
+//! Residency: with a spill tier, each shard holds at most its share of
+//! the `--max-mem` budget (`budget / shards`). An operation that brings
+//! bytes into a shard's RAM (a save, a fault-in) evicts that shard's
+//! coldest slots under the same lock until the shard fits its share.
+//! Re-evicting a slot whose snapshot is already on disk is write-free
+//! (the segment record is immutable), and a write failure poisons the
+//! store instead of returning an error mid-save: the snapshot stays
+//! resident, eviction stops, and the search degrades to
+//! `Inconclusive(SpillFailure)` at its next governance check.
 //!
-//! Eviction under a budget is **globally coldest-first**: every
-//! resident slot carries a stamp from one shared logical clock; the
-//! evictor peeks each shard's LRU front and evicts the minimum stamp,
-//! so the per-shard split does not change *what* gets evicted, only
-//! which lock the eviction takes. Re-evicting a slot whose snapshot is
-//! already on disk is write-free (the segment record is immutable), and
-//! a write failure poisons the store instead of returning an error
-//! mid-save: the snapshot stays resident, eviction stops, and the
-//! search degrades to `Inconclusive(SpillFailure)` at its next
-//! governance check.
+//! The global `resident`/`spilled` gauges and their high-water marks
+//! are atomics, readable lock-free by any worker (the memory-budget
+//! check) and by the coordinator (heartbeats). A shard publishes its
+//! net change to them only once it has settled, so the gauges only ever
+//! hold sums of settled shards and the resident peak never exceeds the
+//! budget.
 
 use super::spill::{SpillCounters, SpillError, SpillTicket, SpillTier};
 use crate::options::AnalysisOptions;
@@ -65,20 +69,11 @@ fn state_key(state: &MachineState) -> u64 {
     h.finish()
 }
 
-/// Shard count with more than one searching thread. A power of two so
-/// the shard index is a mask of the pre-mixed key's top bits; 16 is
-/// comfortably above any worker count the search spawns while keeping
-/// the fixed footprint trivial.
-const SHARD_COUNT: usize = 16;
-
-/// The key's top 4 bits pick among [`SHARD_COUNT`] shards.
-const SHARD_SHIFT: u32 = 64 - 4;
-
 /// Reference to one stored snapshot. Plain `Send + Sync` data — nodes
 /// carry handles across worker threads; the states stay in the store.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct StoreHandle {
-    shard: u8,
+    shard: u32,
     slot: u32,
     /// Size of the referenced snapshot. Every handle to a shared slot
     /// reports the full size (the slot is charged once; `save` returns
@@ -87,8 +82,8 @@ pub(crate) struct StoreHandle {
 }
 
 struct SlotEntry {
-    /// Content key (also the spill record key); the save stamp on the
-    /// pressure-free path, where nothing is hashed.
+    /// Content key (also the spill record key); 0 on the pressure-free
+    /// path, where nothing is hashed.
     key: u64,
     /// Resident snapshot; `None` while evicted to the shard's tier.
     state: Option<MachineState>,
@@ -98,8 +93,8 @@ struct SlotEntry {
     bytes: usize,
     /// Handles outstanding; the slot is freed when this reaches 0.
     refs: u32,
-    /// Last-touch stamp from the store's shared logical clock; older
-    /// LRU queue entries for the slot are stale and skipped.
+    /// Last-touch stamp from the shard's logical clock; older LRU queue
+    /// entries for the slot are stale and skipped.
     stamp: u64,
 }
 
@@ -111,6 +106,11 @@ struct Shard {
     /// Cold-first eviction queue of `(slot, stamp)`.
     lru: VecDeque<(u32, u64)>,
     tier: Option<SpillTier>,
+    /// This shard's logical LRU clock.
+    clock: u64,
+    /// Bytes of this shard's snapshots in RAM and on disk.
+    resident: usize,
+    spilled: usize,
 }
 
 impl Shard {
@@ -121,7 +121,19 @@ impl Shard {
             interned: HashMap::default(),
             lru: VecDeque::new(),
             tier,
+            clock: 0,
+            resident: 0,
+            spilled: 0,
         }
+    }
+
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    fn gauges(&self) -> (usize, usize) {
+        (self.resident, self.spilled)
     }
 
     fn slot(&self, idx: u32) -> &SlotEntry {
@@ -137,6 +149,7 @@ impl Shard {
     }
 
     fn insert(&mut self, entry: SlotEntry) -> u32 {
+        self.resident += entry.bytes;
         match self.free.pop() {
             Some(i) => {
                 self.slots[i as usize] = Some(entry);
@@ -150,7 +163,7 @@ impl Shard {
     }
 
     /// Free a slot whose last reference went, unlinking it from its
-    /// intern chain.
+    /// intern chain and uncharging its bytes wherever they live.
     fn remove(&mut self, idx: u32) -> SlotEntry {
         let entry = self.slots[idx as usize]
             .take()
@@ -162,12 +175,17 @@ impl Shard {
                 self.interned.remove(&entry.key);
             }
         }
+        if entry.state.is_some() {
+            self.resident -= entry.bytes;
+        } else {
+            self.spilled -= entry.bytes;
+        }
         entry
     }
 
     /// Fault the slot's snapshot back in from the shard tier if it is
     /// currently evicted; returns whether a fault-in happened (the
-    /// caller settles the gauges before dropping the lock).
+    /// caller then settles the shard before dropping the lock).
     fn fault_in(&mut self, idx: u32) -> Result<bool, SpillError> {
         if self.slot(idx).state.is_some() {
             return Ok(false);
@@ -181,23 +199,58 @@ impl Shard {
             .as_mut()
             .expect("evicted slots only exist with a spill tier");
         let state = tier.read_state(&ticket)?;
-        self.slot_mut(idx).state = Some(state);
+        let entry = self.slot_mut(idx);
+        entry.state = Some(state);
+        let bytes = entry.bytes;
+        self.resident += bytes;
+        self.spilled -= bytes;
         Ok(true)
     }
 
-    /// Front-of-LRU stamp after discarding stale entries, i.e. the
-    /// coldness of this shard's coldest *resident* slot.
-    fn coldest(&mut self) -> Option<u64> {
-        while let Some(&(idx, stamp)) = self.lru.front() {
-            let live = self.slots[idx as usize]
-                .as_ref()
-                .is_some_and(|s| s.stamp == stamp && s.state.is_some());
-            if live {
-                return Some(stamp);
-            }
+    /// Evict this shard's coldest resident slots until its residency
+    /// fits `share`. Running out of evictable slots degrades gracefully
+    /// (the tier's contract is degradation, never a stop); a write
+    /// failure keeps the snapshot resident and is returned.
+    fn evict_to(&mut self, share: usize) -> Result<(), SpillError> {
+        while self.resident > share {
+            // Drop stale queue entries: the front must be the slot's
+            // current stamp and still resident.
+            let Some(&(idx, stamp)) = self.lru.front() else {
+                return Ok(());
+            };
             self.lru.pop_front();
+            let Some(entry) = self.slots[idx as usize].as_mut() else {
+                continue;
+            };
+            if entry.stamp != stamp || entry.state.is_none() {
+                continue;
+            }
+            let tier = self.tier.as_mut().expect("a budget share implies a tier");
+            let state = entry.state.take().expect("checked resident");
+            if entry.ticket.is_none() {
+                match tier.write_state(entry.key, &state) {
+                    Ok(t) => entry.ticket = Some(t),
+                    Err(e) => {
+                        entry.state = Some(state);
+                        return Err(e);
+                    }
+                }
+            }
+            tier.counters_mut().evictions += 1;
+            self.resident -= entry.bytes;
+            self.spilled += entry.bytes;
         }
-        None
+        Ok(())
+    }
+}
+
+/// Move `gauge` by a shard's net change `from → to` in one atomic step;
+/// returns the gauge's new value.
+fn shift(gauge: &AtomicUsize, from: usize, to: usize) -> usize {
+    if to >= from {
+        gauge.fetch_add(to - from, Ordering::Relaxed) + (to - from)
+    } else {
+        gauge.fetch_sub(from - to, Ordering::Relaxed) - (from - to)
     }
 }
 
@@ -205,10 +258,9 @@ impl Shard {
 /// mutexes plus atomics make it `Sync`.
 pub(crate) struct ShardedStore {
     shards: Vec<Mutex<Shard>>,
-    /// `shards.len() - 1`: the shard index is `bits & mask`.
-    mask: usize,
-    budget: Option<usize>,
-    spill_enabled: bool,
+    /// Each shard's share of the byte budget, enforced by eviction —
+    /// set only when a spill tier exists to evict to.
+    share: Option<usize>,
     /// No budget and no tier ⇒ memory pressure is impossible: slots can
     /// never be evicted, so the content hash, the intern chains and the
     /// LRU queue buy nothing. This flag selects a plain slot-slab path
@@ -219,7 +271,6 @@ pub(crate) struct ShardedStore {
     peak_resident: AtomicUsize,
     peak_spilled: AtomicUsize,
     intern_hits: AtomicU64,
-    clock: AtomicU64,
     /// Set on the first unrecoverable spill write fault; checked
     /// lock-free by the searches at their governance point.
     poisoned: AtomicBool,
@@ -228,14 +279,15 @@ pub(crate) struct ShardedStore {
 
 impl ShardedStore {
     /// Build the store for a search run by `threads` threads: one shard
-    /// for one thread, [`SHARD_COUNT`] otherwise. An unusable spill
-    /// directory is reported as the earliest degradation point.
+    /// per thread, each with `budget / threads` of the byte budget. An
+    /// unusable spill directory is reported as the earliest degradation
+    /// point.
     pub(crate) fn build(
         options: &AnalysisOptions,
         deadline: Option<Instant>,
         threads: usize,
     ) -> Result<Self, SpillError> {
-        let count = if threads > 1 { SHARD_COUNT } else { 1 };
+        let count = threads.max(1);
         let budget = options.limits.max_state_bytes;
         let mut shards = Vec::with_capacity(count);
         let mut spill_enabled = false;
@@ -255,67 +307,71 @@ impl ShardedStore {
         }
         Ok(ShardedStore {
             shards,
-            mask: count - 1,
-            budget,
-            spill_enabled,
+            share: budget.filter(|_| spill_enabled).map(|b| b / count),
             fast: budget.is_none() && !spill_enabled,
             resident: AtomicUsize::new(0),
             spilled: AtomicUsize::new(0),
             peak_resident: AtomicUsize::new(0),
             peak_spilled: AtomicUsize::new(0),
             intern_hits: AtomicU64::new(0),
-            clock: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
             fault: Mutex::new(None),
         })
     }
 
-    /// Whether memory pressure degrades to disk (any shard tier built).
+    /// Whether memory pressure degrades to disk (the shard tiers built).
     pub(crate) fn spill_enabled(&self) -> bool {
-        self.spill_enabled
-    }
-
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn charge_resident(&self, bytes: usize) {
-        self.resident.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// After an operation that brought bytes into RAM: evict back under
-    /// the budget (with a spill tier), then note the residency
-    /// high-water mark — so the peak is what stays resident, not the
-    /// instant before eviction.
-    fn settle(&self) {
-        if let Some(budget) = self.budget {
-            self.evict_until(budget);
-        }
-        let now = self.resident.load(Ordering::Relaxed);
-        if now > self.peak_resident.load(Ordering::Relaxed) {
-            self.peak_resident.fetch_max(now, Ordering::Relaxed);
-        }
+        self.share.is_some()
     }
 
     fn lock(&self, shard: usize) -> std::sync::MutexGuard<'_, Shard> {
         self.shards[shard].lock().expect("store shard lock")
     }
 
-    /// *Save* a snapshot; returns its handle and whether it was interned
-    /// into an already-resident identical slot. Only the pressure path
-    /// interns; spilled candidates never match, so a dedup check costs
-    /// no disk read.
-    pub(crate) fn save(&self, state: MachineState) -> (StoreHandle, bool) {
-        let stamp = self.tick();
-        let (key, shard_idx) = if self.fast {
-            // Shards round-robin off the clock so concurrent workers
-            // still spread across locks.
-            (stamp, stamp as usize & self.mask)
-        } else {
-            let key = state_key(&state);
-            (key, (key >> SHARD_SHIFT) as usize & self.mask)
+    /// After an operation that brought bytes into a shard's RAM: evict
+    /// the shard back under its share (a write failure poisons the
+    /// store and stops eviction).
+    fn settle(&self, shard: &mut Shard) {
+        let Some(share) = self.share else { return };
+        if self.poisoned.load(Ordering::Relaxed) {
+            return;
+        }
+        if let Err(e) = shard.evict_to(share) {
+            self.fault.lock().expect("store fault lock").get_or_insert(e);
+            self.poisoned.store(true, Ordering::Release);
+        }
+    }
+
+    /// Publish a settled shard's net gauge change since `before` to the
+    /// global gauges (still under the shard lock, so a concurrent
+    /// uncharge of the same bytes can never land first) and note the
+    /// high-water marks.
+    fn publish(&self, shard: &Shard, before: (usize, usize)) {
+        let (resident, spilled) = shard.gauges();
+        let now = shift(&self.resident, before.0, resident);
+        if resident > before.0 {
+            self.peak_resident.fetch_max(now, Ordering::Relaxed);
+        }
+        let now = shift(&self.spilled, before.1, spilled);
+        if spilled > before.1 {
+            self.peak_spilled.fetch_max(now, Ordering::Relaxed);
+        }
+    }
+
+    /// *Save* a snapshot into worker `owner`'s shard; returns its handle
+    /// and whether it was interned into an already-resident identical
+    /// slot of that shard. Only the pressure path interns; spilled
+    /// candidates never match, so a dedup check costs no disk read.
+    pub(crate) fn save(&self, owner: usize, state: MachineState) -> (StoreHandle, bool) {
+        let key = if self.fast { 0 } else { state_key(&state) };
+        let mut shard = self.lock(owner);
+        let before = shard.gauges();
+        let stamp = shard.tick();
+        let handle = |slot, state_bytes| StoreHandle {
+            shard: owner as u32,
+            slot,
+            state_bytes,
         };
-        let mut shard = self.lock(shard_idx);
         if !self.fast {
             let hit = shard.interned.get(&key).and_then(|chain| {
                 chain.iter().copied().find(|&idx| {
@@ -329,12 +385,7 @@ impl ShardedStore {
                 let bytes = entry.bytes;
                 shard.lru.push_back((idx, stamp));
                 self.intern_hits.fetch_add(1, Ordering::Relaxed);
-                let h = StoreHandle {
-                    shard: shard_idx as u8,
-                    slot: idx,
-                    state_bytes: bytes,
-                };
-                return (h, true);
+                return (handle(idx, bytes), true);
             }
         }
         let bytes = state.approx_bytes();
@@ -349,19 +400,10 @@ impl ShardedStore {
         if !self.fast {
             shard.interned.entry(key).or_default().push(idx);
             shard.lru.push_back((idx, stamp));
+            self.settle(&mut shard);
         }
-        // Settle the gauge before releasing the shard lock: the evictor
-        // can see this slot the moment the lock drops, and its uncharge
-        // must never land before our charge (the gauges are unsigned).
-        self.charge_resident(bytes);
-        drop(shard);
-        self.settle();
-        let h = StoreHandle {
-            shard: shard_idx as u8,
-            slot: idx,
-            state_bytes: bytes,
-        };
-        (h, false)
+        self.publish(&shard, before);
+        (handle(idx, bytes), false)
     }
 
     /// *Restore* a copy of the stored snapshot without consuming the
@@ -373,20 +415,16 @@ impl ShardedStore {
             let st = shard.slot(h.slot).state.as_ref();
             return Ok(st.expect("fast-path slots are always resident").snapshot());
         }
+        let before = shard.gauges();
         let faulted = shard.fault_in(h.slot)?;
-        let stamp = self.tick();
+        let stamp = shard.tick();
         let entry = shard.slot_mut(h.slot);
         entry.stamp = stamp;
-        let bytes = entry.bytes;
         let copy = entry.state.as_ref().expect("faulted in above").snapshot();
         shard.lru.push_back((h.slot, stamp));
         if faulted {
-            self.charge_resident(bytes);
-            self.spilled.fetch_sub(bytes, Ordering::Relaxed);
-        }
-        drop(shard);
-        if faulted {
-            self.settle();
+            self.settle(&mut shard);
+            self.publish(&shard, before);
         }
         Ok(copy)
     }
@@ -402,14 +440,12 @@ impl ShardedStore {
             self.release(h);
             return copy;
         }
+        let before = shard.gauges();
         let entry = shard.remove(h.slot);
+        self.publish(&shard, before);
         match entry.state {
-            Some(state) => {
-                self.resident.fetch_sub(entry.bytes, Ordering::Relaxed);
-                Ok(state)
-            }
+            Some(state) => Ok(state),
             None => {
-                self.spilled.fetch_sub(entry.bytes, Ordering::Relaxed);
                 let ticket = entry.ticket.expect("an evicted slot holds a ticket");
                 let tier = shard.tier.as_mut().expect("evicted slots imply a tier");
                 tier.read_state(&ticket)
@@ -431,73 +467,9 @@ impl ShardedStore {
         if entry.refs > 0 {
             return;
         }
-        let entry = shard.remove(h.slot);
-        if entry.state.is_some() {
-            self.resident.fetch_sub(entry.bytes, Ordering::Relaxed);
-        } else {
-            self.spilled.fetch_sub(entry.bytes, Ordering::Relaxed);
-        }
-    }
-
-    /// Evict globally coldest slots until residency fits `target`.
-    /// No-op without tiers; running out of evictable slots degrades
-    /// gracefully (the search continues over budget — the tier's
-    /// contract is degradation, never a stop). A write failure poisons
-    /// the store: the snapshot stays resident and the search observes
-    /// [`ShardedStore::is_poisoned`] at its next governance check.
-    fn evict_until(&self, target: usize) {
-        if !self.spill_enabled || self.poisoned.load(Ordering::Relaxed) {
-            return;
-        }
-        while self.resident.load(Ordering::Relaxed) > target {
-            // Globally coldest-first: min front stamp across shards.
-            let mut coldest: Option<(usize, u64)> = None;
-            for i in 0..self.shards.len() {
-                if let Some(stamp) = self.lock(i).coldest() {
-                    if coldest.is_none_or(|(_, best)| stamp < best) {
-                        coldest = Some((i, stamp));
-                    }
-                }
-            }
-            let Some((shard_idx, stamp)) = coldest else {
-                return; // nothing evictable left; degrade gracefully
-            };
-            let mut shard = self.lock(shard_idx);
-            // Re-validate under one continuous lock; the slot may have
-            // been touched or freed since the peek.
-            if shard.coldest() != Some(stamp) {
-                continue;
-            }
-            let (slot_idx, _) = shard.lru.pop_front().expect("coldest found an entry");
-            let (key, state) = {
-                let entry = shard.slot_mut(slot_idx);
-                (entry.key, entry.state.take().expect("checked resident"))
-            };
-            if shard.slot(slot_idx).ticket.is_none() {
-                let tier = shard.tier.as_mut().expect("spill_enabled checked");
-                match tier.write_state(key, &state) {
-                    Ok(t) => shard.slot_mut(slot_idx).ticket = Some(t),
-                    Err(e) => {
-                        // Keep the snapshot resident; poison the store.
-                        shard.slot_mut(slot_idx).state = Some(state);
-                        drop(shard);
-                        let mut fault = self.fault.lock().expect("store fault lock");
-                        if fault.is_none() {
-                            *fault = Some(e);
-                        }
-                        self.poisoned.store(true, Ordering::Release);
-                        return;
-                    }
-                }
-            }
-            let bytes = shard.slot(slot_idx).bytes;
-            if let Some(t) = shard.tier.as_mut() {
-                t.counters_mut().evictions += 1;
-            }
-            self.resident.fetch_sub(bytes, Ordering::Relaxed);
-            let now = self.spilled.fetch_add(bytes, Ordering::Relaxed) + bytes;
-            self.peak_spilled.fetch_max(now, Ordering::Relaxed);
-        }
+        let before = shard.gauges();
+        shard.remove(h.slot);
+        self.publish(&shard, before);
     }
 
     /// Whether an unrecoverable spill fault has occurred (lock-free).
@@ -665,10 +637,10 @@ mod tests {
         // A budget engages the pressure path; without one the store
         // skips interning entirely (see the next test).
         let st = store(4, Some(usize::MAX), None);
-        let (a, hit_a) = st.save(state_with(7));
+        let (a, hit_a) = st.save(0, state_with(7));
         let after_first = st.resident_bytes();
-        let (b, hit_b) = st.save(state_with(7));
-        let (c, hit_c) = st.save(state_with(8));
+        let (b, hit_b) = st.save(0, state_with(7));
+        let (c, hit_c) = st.save(0, state_with(8));
         assert!(!hit_a && !hit_c);
         assert!(hit_b, "identical content must share a slot");
         assert_eq!(st.intern_hits(), 1);
@@ -690,8 +662,8 @@ mod tests {
         // No budget, no tier: the fast slab path. Identical states get
         // distinct slots, round-trip intact, and accounting balances.
         let st = store(1, None, None);
-        let (a, hit_a) = st.save(state_with(7));
-        let (b, hit_b) = st.save(state_with(7));
+        let (a, hit_a) = st.save(0, state_with(7));
+        let (b, hit_b) = st.save(0, state_with(7));
         assert!(!hit_a && !hit_b, "pressure-free saves never dedup");
         assert_eq!(st.intern_hits(), 0);
         let both = a.state_bytes + b.state_bytes;
@@ -709,7 +681,7 @@ mod tests {
     fn take_moves_the_state_out_without_a_copy() {
         let st = store(1, None, None);
         let original = state_with(3);
-        let (h, _) = st.save(original.snapshot());
+        let (h, _) = st.save(0, original.snapshot());
         assert_eq!(st.take(h).unwrap(), original);
         assert_eq!(st.resident_bytes(), 0, "take frees the slot");
     }
@@ -717,7 +689,7 @@ mod tests {
     #[test]
     fn take_of_a_shared_slot_copies_and_keeps_the_other_reference() {
         let st = store(1, None, None);
-        let (h, _) = st.save(state_with(4));
+        let (h, _) = st.save(0, state_with(4));
         st.retain(h);
         assert_eq!(st.take(h).unwrap().globals[0], Value::Int(4));
         assert_eq!(st.resident_bytes(), h.state_bytes, "one reference remains");
@@ -730,7 +702,7 @@ mod tests {
         for (threads, nested) in [(1, false), (2, true)] {
             let dir = tmpdir(&format!("layout-{}", threads));
             let st = store(threads, Some(1), Some(dir.clone()));
-            let (h, _) = st.save(state_with(5));
+            let (h, _) = st.save(0, state_with(5));
             assert_eq!(st.take(h).unwrap().globals[0], Value::Int(5));
             let at_root = std::fs::read_dir(&dir)
                 .unwrap()
@@ -749,7 +721,7 @@ mod tests {
         // Budget below two snapshots: saving eight forces eviction.
         let budget = one * 2;
         let st = store(1, Some(budget), Some(dir.clone()));
-        let handles: Vec<_> = (0..8).map(|n| st.save(state_with(n)).0).collect();
+        let handles: Vec<_> = (0..8).map(|n| st.save(0, state_with(n)).0).collect();
         assert!(st.spilled_bytes() > 0);
         assert!(st.spill_counters().evictions > 0);
         // Every snapshot — resident or spilled — restores intact. After
@@ -786,23 +758,32 @@ mod tests {
     }
 
     #[test]
-    fn eviction_is_globally_coldest_first_across_shards() {
-        let dir = tmpdir("coldest");
-        let st = store(4, Some(usize::MAX), Some(dir.clone()));
-        // Distinct states land in different shards (very likely); the
-        // least recently touched must go first regardless of shard.
-        let handles: Vec<_> = (0..8).map(|i| st.save(state_with(i)).0).collect();
-        // Touch everything but the first, making handle 0 the global LRU.
-        for &h in &handles[1..] {
+    fn eviction_stays_in_the_saving_workers_shard_and_takes_its_coldest_slot() {
+        let dir = tmpdir("owner");
+        let one = state_with(0).approx_bytes();
+        // Two workers, each with a share of three snapshots.
+        let st = store(2, Some(6 * one), Some(dir.clone()));
+        // Worker 1's slots are saved first and never touched again: the
+        // oldest in the store, but not worker 0's to evict.
+        let theirs: Vec<_> = (10..13).map(|n| st.save(1, state_with(n)).0).collect();
+        let ours: Vec<_> = (0..3).map(|n| st.save(0, state_with(n)).0).collect();
+        for &h in &ours[1..] {
             let _ = st.materialize(h).unwrap();
         }
-        let one = handles[0].state_bytes;
-        st.evict_until(st.resident_bytes() - one);
-        // The coldest handle is the evicted one: materializing it
-        // registers a spill read.
-        let reads_before = st.spill_counters().reads;
-        let _ = st.materialize(handles[0]).unwrap();
-        assert_eq!(st.spill_counters().reads, reads_before + 1);
+        assert_eq!(st.spill_counters().evictions, 0, "both shards fit their share");
+        let (_, _) = st.save(0, state_with(3));
+        assert_eq!(st.spill_counters().evictions, 1);
+        let reads = |st: &ShardedStore| st.spill_counters().reads;
+        for &h in theirs.iter().chain(&ours[1..]) {
+            let _ = st.materialize(h).unwrap();
+        }
+        assert_eq!(reads(&st), 0, "only worker 0's coldest slot was evicted");
+        assert_eq!(st.materialize(ours[0]).unwrap().globals[0], Value::Int(0));
+        assert_eq!(reads(&st), 1, "worker 0's untouched slot faults back in");
+        assert!(st.peak_resident_bytes() <= 6 * one);
+        assert!(!dir.join("shard01").read_dir().unwrap().any(|e| {
+            e.unwrap().metadata().unwrap().len() > 12
+        }), "worker 1's tier never received a record");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -810,7 +791,7 @@ mod tests {
     fn release_of_spilled_slot_clears_the_disk_gauge() {
         let dir = tmpdir("release-spilled");
         let st = store(1, Some(1), Some(dir.clone()));
-        let (h, _) = st.save(state_with(9));
+        let (h, _) = st.save(0, state_with(9));
         assert!(st.spilled_bytes() > 0);
         st.release(h);
         assert_eq!(st.spilled_bytes(), 0);
@@ -821,8 +802,8 @@ mod tests {
     #[test]
     fn peaks_track_high_water_marks() {
         let st = store(1, None, None);
-        let (a, _) = st.save(state_with(1));
-        let (b, _) = st.save(state_with(2));
+        let (a, _) = st.save(0, state_with(1));
+        let (b, _) = st.save(0, state_with(2));
         let peak = st.peak_resident_bytes();
         assert_eq!(peak, st.resident_bytes());
         st.release(a);
@@ -840,7 +821,7 @@ mod tests {
             ..SpillFaultPlan::default()
         });
         let st = ShardedStore::build(&o, None, 1).expect("store builds");
-        let (h, _) = st.save(state_with(3));
+        let (h, _) = st.save(0, state_with(3));
         assert!(st.is_poisoned(), "dead disk must poison");
         let fault = st.take_fault().expect("fault recorded");
         assert!(fault.to_string().contains("disk full"), "{}", fault);
@@ -848,7 +829,7 @@ mod tests {
         assert_eq!(st.materialize(h).unwrap().globals[0], Value::Int(3));
         assert!(st.resident_bytes() > 0);
         // A poisoned store stops evicting instead of retrying the disk.
-        let (_, _) = st.save(state_with(4));
+        let (_, _) = st.save(0, state_with(4));
         assert_eq!(st.resident_bytes(), 2 * h.state_bytes);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -236,7 +236,7 @@ fn resume_refuses_a_checkpoint_from_a_different_specification() {
         .analyze_resume(cp, &AnalysisOptions::default())
         .expect_err("cross-spec resume must be refused");
     assert!(
-        err.to_string().contains("resume"),
+        matches!(err, TangoError::Resume(_)) && err.to_string().contains("resume"),
         "error should point at the resume validation: {}",
         err
     );
@@ -281,10 +281,10 @@ fn resume_refuses_a_path_step_past_the_transition_count() {
 
     let cp = Checkpoint::read_from(&path).unwrap();
     match one.analyze_resume(cp, &AnalysisOptions::default()) {
-        Err(TangoError::Env(e)) => assert!(
-            e.to_string().contains("path step") && e.to_string().contains("transition 1 of 1"),
-            "error should name the out-of-range path step: {}",
-            e
+        Err(e @ TangoError::Resume(_)) => assert_eq!(
+            e.to_string(),
+            "cannot resume checkpoint: search path step 0 references transition 1 of 1",
+            "error should name the out-of-range path step"
         ),
         other => panic!(
             "out-of-range path step must be refused, got {:?}",

@@ -225,59 +225,107 @@ fn spilled_parallel_run_matches_all_ram_sequential() {
 }
 
 /// Stop an N-worker run on a transition limit after eof, round-trip the
-/// checkpoint through a file, resume at M workers: the final verdict and
-/// TE/GE/RE/SA must equal the uninterrupted run's, for every (N, M).
+/// checkpoint through a file, resume at M workers: the final verdict,
+/// witness and TE/GE/RE/SA must equal the uninterrupted run's, for every
+/// (N, M) — on an exhaustive invalid search and on a valid trace, where
+/// the stopped burst's racing front is not the sequential one.
 #[test]
 fn checkpoint_saved_at_n_workers_resumes_at_m() {
     let a = tp0::analyzer();
-    let bad = invalid_tp0_trace(3);
-    let opts = AnalysisOptions::with_order(OrderOptions::none());
-    let uninterrupted = online(&a, &bad, &opts);
-    check_golden("uninterrupted", &uninterrupted, &INVALID_3_NR);
-    let cap = uninterrupted.stats.transitions_executed / 2;
-    assert!(cap > 0, "workload too small to interrupt");
+    let cases = [
+        (
+            "invalid 3+3 NR",
+            invalid_tp0_trace(3),
+            OrderOptions::none(),
+            [1usize, 4],
+        ),
+        (
+            "valid 300+300 FULL",
+            tp0::valid_trace(300, 300, 7),
+            OrderOptions::full(),
+            [2, 4],
+        ),
+    ];
+    for (tag, trace, order, save_ats) in cases {
+        let opts = AnalysisOptions::with_order(order);
+        let uninterrupted = online(&a, &trace, &opts);
+        if tag.starts_with("invalid") {
+            check_golden("uninterrupted", &uninterrupted, &INVALID_3_NR);
+        } else {
+            assert_eq!(uninterrupted.verdict, Verdict::Valid);
+            assert_eq!(uninterrupted.stats.transitions_executed, 1674, "{}", tag);
+        }
+        let cap = uninterrupted.stats.transitions_executed / 2;
+        assert!(cap > 0, "workload too small to interrupt");
 
-    for save_at in [1usize, 4] {
-        for resume_at in [1usize, 2, 8] {
+        for save_at in save_ats {
             let mut limited = with_workers(&opts, save_at);
             limited.limits.max_transitions = cap;
-            let stopped = online(&a, &bad, &limited);
+            let stopped = online(&a, &trace, &limited);
             assert_eq!(
                 stopped.verdict,
                 Verdict::Inconclusive(InconclusiveReason::TransitionLimit),
-                "save_at={}",
+                "{} save_at={}",
+                tag,
                 save_at
             );
             let cp = stopped
                 .checkpoint
                 .expect("a post-eof limit stop must be checkpointable");
-
             let tmp = std::env::temp_dir().join(format!(
-                "tango-mdfs-par-ckpt-{}-{}-{}.bin",
+                "tango-mdfs-par-ckpt-{}-{}.bin",
                 save_at,
-                resume_at,
                 std::process::id()
             ));
             cp.write_to(&tmp).expect("checkpoint writes");
-            let cp = Checkpoint::read_from(&tmp).expect("checkpoint reads back");
-            std::fs::remove_file(&tmp).ok();
 
-            let resumed = a
-                .analyze_online_resume(cp, &with_workers(&opts, resume_at), &mut |_| true)
-                .unwrap();
-            assert_eq!(
-                resumed.verdict, uninterrupted.verdict,
-                "save_at={} resume_at={}",
-                save_at, resume_at
-            );
-            assert_eq!(
-                counters(&resumed.stats),
-                counters(&uninterrupted.stats),
-                "resume at a different worker count drifted (save_at={} resume_at={})",
-                save_at,
-                resume_at
-            );
+            for resume_at in [1usize, 2, 8] {
+                let cp = Checkpoint::read_from(&tmp).expect("checkpoint reads back");
+                let resumed = a
+                    .analyze_online_resume(cp, &with_workers(&opts, resume_at), &mut |_| true)
+                    .unwrap();
+                let at = format!("{} save_at={} resume_at={}", tag, save_at, resume_at);
+                assert_eq!(resumed.verdict, uninterrupted.verdict, "{}", at);
+                assert!(resumed.witness == uninterrupted.witness, "witness drifted ({})", at);
+                assert_eq!(
+                    counters(&resumed.stats),
+                    counters(&uninterrupted.stats),
+                    "resume at a different worker count drifted ({})",
+                    at
+                );
+            }
+            std::fs::remove_file(&tmp).ok();
         }
+    }
+}
+
+/// The budget gauge is exact at any worker count: with a budget of a
+/// few snapshots and spill on, the resident peak never exceeds it, even
+/// while several workers save and evict at once.
+#[test]
+fn resident_peak_stays_within_the_budget_at_every_worker_count() {
+    let a = tp0::analyzer();
+    let bad = invalid_tp0_trace(3);
+    let opts = AnalysisOptions::with_order(OrderOptions::none());
+    let baseline = online(&a, &bad, &opts);
+    let budget = 2048;
+    for n in [1usize, 2, 4] {
+        let dir = spill_dir(&format!("peak-w{}", n));
+        let mut o = with_workers(&opts, n);
+        o.limits.max_state_bytes = Some(budget);
+        o.spill.mode = SpillMode::On;
+        o.spill.dir = Some(dir.clone());
+        let tiered = online(&a, &bad, &o);
+        assert_eq!(counters(&tiered.stats), counters(&baseline.stats), "workers={}", n);
+        assert!(tiered.stats.spill_reads > 0, "the budget must spill (workers={})", n);
+        assert!(
+            tiered.stats.peak_snapshot_bytes <= budget,
+            "workers={}: resident peak {} over the {}-byte budget",
+            n,
+            tiered.stats.peak_snapshot_bytes,
+            budget
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
